@@ -173,6 +173,6 @@ mod tests {
             conn.execute(&reader, &GdprQuery::ReadDataByKey(format!("k{i:07}")))
                 .unwrap();
         }
-        conn.verify_placement().unwrap();
+        conn.engine().verify_placement().unwrap();
     }
 }

@@ -1301,6 +1301,56 @@ fn sharded_audit_stream_is_unified_and_ordered() {
     assert_eq!(resp.cardinality(), 7);
 }
 
+/// A batch sent through the connector trait must reach the engine's batch
+/// path, whose audit contract is one commit — one timestamp — per tenant
+/// per batch. A wrapper falling back to the trait's sequential default
+/// stamps every op at its own instant instead.
+#[test]
+fn execute_batch_reaches_the_engine_batch_path_on_every_variant() {
+    let controller = Session::controller();
+    for conn in engine_handles() {
+        let ops = (0..2000)
+            .map(|i| {
+                let r = record(&format!("batch-{i:04}"), "neo", &["ads"], "x");
+                (controller.clone(), GdprQuery::CreateRecord(r))
+            })
+            .collect();
+        let results = GdprConnector::execute_batch(&conn, ops);
+        assert!(
+            results
+                .iter()
+                .all(|r| matches!(r, Ok(GdprResponse::Created))),
+            "{}",
+            conn.name()
+        );
+        let logs = conn
+            .execute(
+                &Session::regulator(),
+                &GdprQuery::GetSystemLogs {
+                    from_ms: 0,
+                    to_ms: u64::MAX,
+                },
+            )
+            .unwrap();
+        let GdprResponse::Logs(lines) = logs else {
+            panic!("{}: GetSystemLogs answered {logs:?}", conn.name());
+        };
+        let mut stamps: Vec<u64> = lines
+            .iter()
+            .filter(|l| l.operation == "create-record")
+            .map(|l| l.timestamp_ms)
+            .collect();
+        assert_eq!(stamps.len(), 2000, "{}", conn.name());
+        stamps.dedup();
+        assert_eq!(
+            stamps.len(),
+            1,
+            "{}: the batch's audit entries must share one timestamp",
+            conn.name()
+        );
+    }
+}
+
 /// The acceptance bar for the network layer: serve the *same* engine
 /// instance that stays reachable in-process, mirror a workload through
 /// both paths, and require every response — successes, GDPR errors, audit
@@ -1812,7 +1862,10 @@ fn restart_equivalence_sharded_and_remote() {
     let original =
         ShardedRedisConnector::with_metadata_index_snapshots(fleet.clone(), &dir).unwrap();
     restart_op_mix(&original);
-    assert!(original.close().unwrap() > 0, "close persists the images");
+    assert!(
+        original.engine().close().unwrap() > 0,
+        "close persists the images"
+    );
 
     let restarted_fleet: Vec<Arc<kvstore::KvStore>> = fleet
         .iter()
@@ -1846,7 +1899,7 @@ fn restart_equivalence_redis_mi() {
     let store = kvstore::KvStore::open_with_clock(aof_kv_config(), sim.clone()).unwrap();
     let original = RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
     restart_op_mix(&original);
-    assert!(original.close().unwrap() > 0);
+    assert!(original.engine().close().unwrap() > 0);
 
     let aof = store.aof_memory_buffer().unwrap().lock().clone();
     let replayed = kvstore::KvStore::replay(aof_kv_config(), &aof, sim.clone()).unwrap();
@@ -2035,6 +2088,34 @@ fn disk_conformance_under_eviction_pressure() {
         stats.evictions > 1000,
         "the battery must churn the pool, got {stats:?}"
     );
+}
+
+/// A graceful close through the connector trait flushes the store itself,
+/// for a bare engine as much as for a connector: the disk store's WAL is
+/// checkpointed into the data file, so a reopen replays nothing.
+#[test]
+fn disk_engine_close_checkpoints_through_the_connector_trait() {
+    let dir = snapshot_scratch_dir("disk-close");
+    let open = || {
+        pagestore::PageStore::open(&dir, pagestore::PageStoreConfig::default(), clock::wall())
+            .unwrap()
+    };
+    let engine =
+        gdpr_core::ComplianceEngine::with_metadata_index(crate::DiskStore::over(open(), "disk"))
+            .unwrap();
+    let handle: EngineHandle = Arc::new(engine);
+    seed(handle.as_ref());
+    GdprConnector::close(&handle).unwrap();
+    drop(handle);
+
+    let reopened = open();
+    assert_eq!(
+        reopened.recovery().wal_frames,
+        0,
+        "close must checkpoint, got {}",
+        reopened.recovery()
+    );
+    assert_eq!(reopened.record_count(), 5);
 }
 
 #[test]

@@ -9,26 +9,23 @@
 //! over random op mixes. `persistence_generation` is the WAL's logical
 //! commit sequence, so the PR-5 index-snapshot layer works unchanged.
 //!
-//! Variants, mirroring the kvstore pair:
+//! Variants, mirroring the kvstore ones:
 //!
 //! * [`DiskConnector::new`] — scan-based predicate resolution.
 //! * [`DiskConnector::with_metadata_index`] — the headline `disk` variant.
-//! * [`ShardedDiskConnector`] — N stores (each its own directory) behind
-//!   the hash-partitioned router (`disk-sharded`).
+//! * [`ShardedDiskConnector::with_metadata_index`] — N stores (each its
+//!   own directory, WAL, buffer pool and per-shard index) behind the
+//!   hash-partitioned router (`disk-sharded`).
 
-use gdpr_core::audit::AuditTrail;
+use crate::Connector;
 use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::error::{GdprError, GdprResult};
-use gdpr_core::metaindex::MetadataIndex;
-use gdpr_core::query::GdprQuery;
 use gdpr_core::record::PersonalRecord;
-use gdpr_core::response::GdprResponse;
-use gdpr_core::role::Session;
 use gdpr_core::sharded::ShardedEngine;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire;
-use gdpr_core::{ComplianceEngine, GdprConnector};
+use gdpr_core::ComplianceEngine;
 use pagestore::{PageStore, PageStoreConfig};
 use std::sync::Arc;
 
@@ -176,6 +173,11 @@ impl RecordStore for DiskStore {
             .set_expiry_listener(Arc::new(move |key: &str| listener(key)));
     }
 
+    /// Checkpoint: flush WAL images into the data file.
+    fn close(&self) -> GdprResult<()> {
+        self.store.checkpoint().map_err(Self::store_err)
+    }
+
     fn space_report(&self) -> SpaceReport {
         let personal: usize = self
             .scan()
@@ -213,14 +215,16 @@ impl RecordStore for DiskStore {
 }
 
 /// GDPR connector over one [`PageStore`].
-pub struct DiskConnector {
-    engine: ComplianceEngine<DiskStore>,
-}
+pub type DiskConnector = Connector<ComplianceEngine<DiskStore>>;
+
+/// GDPR connector hash-partitioning records across N page stores, each in
+/// its own directory with its own WAL, buffer pool, and per-shard index.
+pub type ShardedDiskConnector = Connector<ShardedEngine<DiskStore>>;
 
 impl DiskConnector {
     /// Wrap an open page store, scan-based.
     pub fn new(store: Arc<PageStore>) -> Self {
-        DiskConnector {
+        Connector {
             engine: ComplianceEngine::new(DiskStore::over(store, "disk-scan")),
         }
     }
@@ -228,7 +232,7 @@ impl DiskConnector {
     /// Wrap an open page store with the engine-maintained metadata index —
     /// the headline `disk` variant.
     pub fn with_metadata_index(store: Arc<PageStore>) -> GdprResult<Self> {
-        Ok(DiskConnector {
+        Ok(Connector {
             engine: ComplianceEngine::with_metadata_index(DiskStore::over(store, "disk"))?,
         })
     }
@@ -240,7 +244,7 @@ impl DiskConnector {
         store: Arc<PageStore>,
         path: impl Into<std::path::PathBuf>,
     ) -> GdprResult<Self> {
-        Ok(DiskConnector {
+        Ok(Connector {
             engine: ComplianceEngine::with_metadata_index_snapshot(
                 DiskStore::over(store, "disk"),
                 path,
@@ -248,115 +252,27 @@ impl DiskConnector {
         })
     }
 
-    /// How the index came up (snapshot-aware variant only).
-    pub fn index_recovery(&self) -> Option<&gdpr_core::IndexRecovery> {
-        self.engine.index_recovery()
-    }
-
-    /// Persist the index snapshot now (snapshot-aware variant only).
-    pub fn write_index_snapshot(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshot()
-    }
-
-    /// Graceful close: snapshot the index when so configured, then
-    /// checkpoint the store (flush WAL images into the data file).
-    pub fn close(&self) -> GdprResult<usize> {
-        let written = self.engine.close()?;
-        self.store()
-            .checkpoint()
-            .map_err(|e| GdprError::Store(e.to_string()))?;
-        Ok(written)
-    }
-
     /// The underlying page store (for experiment harnesses and the
     /// eviction/fault suites).
     pub fn store(&self) -> &Arc<PageStore> {
         self.engine.store().page_store()
     }
-
-    /// The audit trail.
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
-    }
-
-    /// The engine's metadata index (present on the indexed variants).
-    pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
-        self.engine.metadata_index()
-    }
 }
 
-impl GdprConnector for DiskConnector {
-    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        self.engine.execute(session, query)
-    }
-
-    fn features(&self) -> FeatureReport {
-        self.engine.features()
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        self.engine.space_report()
-    }
-
-    fn record_count(&self) -> usize {
-        self.engine.record_count()
-    }
-
-    fn name(&self) -> &str {
-        self.engine.name()
-    }
-
-    fn op_telemetry(&self) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry()
-    }
-
-    fn op_telemetry_for(
-        &self,
-        tenant: &gdpr_core::tenant::TenantId,
-    ) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry_for(tenant)
-    }
-
-    fn tenant_telemetry(&self) -> Vec<(String, gdpr_core::telemetry::OpTelemetrySnapshot)> {
-        self.engine.tenant_telemetry()
-    }
-
-    fn provision_tenant(&self, tenant: &gdpr_core::tenant::TenantId) -> GdprResult<()> {
-        self.engine.provision_tenant(tenant)
-    }
-
-    fn close(&self) -> GdprResult<()> {
-        DiskConnector::close(self).map(|_| ())
-    }
-}
-
-/// GDPR connector hash-partitioning records across N page stores, each in
-/// its own directory with its own WAL, buffer pool, and per-shard index.
-pub struct ShardedDiskConnector {
-    engine: ShardedEngine<DiskStore>,
+fn shard_backends(stores: Vec<Arc<PageStore>>) -> Vec<DiskStore> {
+    stores
+        .into_iter()
+        .map(|s| DiskStore::over(s, "disk"))
+        .collect()
 }
 
 impl ShardedDiskConnector {
-    /// Wrap open stores, one per shard, scan-based.
-    pub fn new(stores: Vec<Arc<PageStore>>) -> GdprResult<Self> {
-        let backends = stores
-            .into_iter()
-            .map(|s| DiskStore::over(s, "disk-scan"))
-            .collect();
-        Ok(ShardedDiskConnector {
-            engine: ShardedEngine::new(backends)?.named("disk-sharded-scan"),
-        })
-    }
-
     /// Per-shard engine-maintained metadata indexes — the `disk-sharded`
     /// variant.
     pub fn with_metadata_index(stores: Vec<Arc<PageStore>>) -> GdprResult<Self> {
-        let backends = stores
-            .into_iter()
-            .map(|s| DiskStore::over(s, "disk"))
-            .collect();
-        Ok(ShardedDiskConnector {
-            engine: ShardedEngine::with_metadata_index(backends)?.named("disk-sharded"),
+        Ok(Connector {
+            engine: ShardedEngine::with_metadata_index(shard_backends(stores))?
+                .named("disk-sharded"),
         })
     }
 
@@ -367,76 +283,15 @@ impl ShardedDiskConnector {
         stores: Vec<Arc<PageStore>>,
         dir: impl AsRef<std::path::Path>,
     ) -> GdprResult<Self> {
-        let backends = stores
-            .into_iter()
-            .map(|s| DiskStore::over(s, "disk"))
-            .collect();
-        Ok(ShardedDiskConnector {
-            engine: ShardedEngine::with_metadata_index_snapshots(backends, dir)?
+        Ok(Connector {
+            engine: ShardedEngine::with_metadata_index_snapshots(shard_backends(stores), dir)?
                 .named("disk-sharded"),
         })
     }
 
-    /// Open `shards` fresh stores under `dir/shard-i/`, indexed, sharing
-    /// one clock.
-    pub fn open_in(
-        dir: impl AsRef<std::path::Path>,
-        shards: usize,
-        config: PageStoreConfig,
-        clock: clock::SharedClock,
-    ) -> GdprResult<Self> {
-        let stores = open_store_fleet(dir, shards, config, clock)?;
-        Self::with_metadata_index(stores)
-    }
-
-    /// How one shard's index came up (snapshot-aware variant only).
-    pub fn index_recovery(&self, shard: usize) -> Option<&gdpr_core::IndexRecovery> {
-        self.engine.shards()[shard].index_recovery()
-    }
-
-    /// Persist every shard's index snapshot now.
-    pub fn write_index_snapshots(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshots()
-    }
-
-    /// Graceful close: snapshot every shard's index when so configured,
-    /// then checkpoint every shard's store.
-    pub fn close(&self) -> GdprResult<usize> {
-        let written = self.engine.close()?;
-        for i in 0..self.shard_count() {
-            self.store(i)
-                .checkpoint()
-                .map_err(|e| GdprError::Store(e.to_string()))?;
-        }
-        Ok(written)
-    }
-
-    pub fn engine(&self) -> &ShardedEngine<DiskStore> {
-        &self.engine
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.engine.shard_count()
-    }
-
+    /// The underlying page store of one shard.
     pub fn store(&self, shard: usize) -> &Arc<PageStore> {
         self.engine.shards()[shard].store().page_store()
-    }
-
-    pub fn metadata_index(&self, shard: usize) -> Option<&Arc<MetadataIndex>> {
-        self.engine.shards()[shard].metadata_index()
-    }
-
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
-    }
-
-    pub fn verify_placement(&self) -> GdprResult<()> {
-        self.engine.verify_placement()
-    }
-
-    pub fn rebalance(&self) -> GdprResult<usize> {
-        self.engine.rebalance()
     }
 }
 
@@ -455,52 +310,7 @@ pub fn open_store_fleet(
                 config.clone(),
                 clock.clone(),
             )
-            .map_err(|e| GdprError::Store(e.to_string()))
+            .map_err(DiskStore::store_err)
         })
         .collect()
-}
-
-impl GdprConnector for ShardedDiskConnector {
-    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        self.engine.execute(session, query)
-    }
-
-    fn features(&self) -> FeatureReport {
-        self.engine.features()
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        self.engine.space_report()
-    }
-
-    fn record_count(&self) -> usize {
-        self.engine.record_count()
-    }
-
-    fn name(&self) -> &str {
-        GdprConnector::name(&self.engine)
-    }
-
-    fn op_telemetry(&self) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry()
-    }
-
-    fn op_telemetry_for(
-        &self,
-        tenant: &gdpr_core::tenant::TenantId,
-    ) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry_for(tenant)
-    }
-
-    fn tenant_telemetry(&self) -> Vec<(String, gdpr_core::telemetry::OpTelemetrySnapshot)> {
-        self.engine.tenant_telemetry()
-    }
-
-    fn provision_tenant(&self, tenant: &gdpr_core::tenant::TenantId) -> GdprResult<()> {
-        self.engine.provision_tenant(tenant)
-    }
-
-    fn close(&self) -> GdprResult<()> {
-        ShardedDiskConnector::close(self).map(|_| ())
-    }
 }

@@ -3,54 +3,183 @@
 //! The paper adds per-database client stubs to GDPRbench (§4.3: "~400 LoC
 //! for Redis and PostgreSQL clients"); in this reproduction the entire
 //! GDPR layer — authorization, record visibility, audit logging, and the
-//! one `GdprQuery` dispatch — lives in [`gdpr_core::ComplianceEngine`], and
-//! each database contributes only a narrow [`gdpr_core::RecordStore`]
-//! backend:
+//! one `GdprQuery` dispatch — lives in [`gdpr_core::ComplianceEngine`] (or
+//! its hash-partitioned router, [`gdpr_core::ShardedEngine`]), and each
+//! database contributes only a narrow [`gdpr_core::RecordStore`] backend:
 //!
 //! * [`redis::RedisStore`] — records live as wire-format strings under
-//!   `rec:<key>` with native `EXPIRE` for TTL. The store has **no secondary
-//!   indexes**: the baseline [`redis::RedisConnector::new`] resolves every
-//!   metadata predicate by SCAN+filter (the O(n) behaviour behind Figures
-//!   5a and 7b), while [`redis::RedisConnector::with_metadata_index`]
-//!   attaches the engine's [`gdpr_core::MetadataIndex`] for O(matches)
-//!   lookups, with store-side expirations invalidating index entries.
-//! * [`sharded::ShardedRedisConnector`] — N independent key-value stores
-//!   behind a [`gdpr_core::ShardedEngine`] hash-partition router: point
-//!   ops go to the owning shard, metadata predicates fan out and merge
-//!   deterministically, and one unified audit trail spans the fleet. Shard
-//!   count is semantically invisible (pinned by the conformance suite here
-//!   and the shard-count-invariance properties in `tests/proptests.rs`).
-//! * [`remote::RemoteConnector`] — not a storage backend but a *network
-//!   client*: a pool of [`remote::GdprClient`] connections speaking the
-//!   `gdpr-server` wire protocol, behind the same [`gdpr_core::GdprConnector`]
-//!   interface. Any of the variants above, served by `gdpr-serve`, is
-//!   drivable over loopback or a real network; the conformance suite runs
-//!   every variant both in-process and remote-wrapped to pin
-//!   byte-equivalence.
+//!   `rec:<key>` with native `EXPIRE` for TTL, and AOF sync on close. The
+//!   store has **no secondary indexes**: without an engine index every
+//!   metadata predicate is SCAN+filter (the O(n) behaviour behind Figures
+//!   5a and 7b); with one, the engine's [`gdpr_core::MetadataIndex`]
+//!   answers in O(matches), store-side expirations invalidating entries.
 //! * [`postgres::PostgresStore`] — one `personal_data` table with a column
 //!   per metadata attribute (arrays for multi-valued ones), pushing every
 //!   predicate down to relstore's planner. In baseline form only the
-//!   primary key is indexed (metadata queries seq-scan, Figure 5b); with
-//!   [`postgres::PostgresConnector::with_metadata_indices`] every metadata
-//!   column gets a secondary index (Figure 5c) at the space cost Table 3
-//!   reports.
+//!   primary key is indexed (metadata queries seq-scan, Figure 5b); the
+//!   `-mi` form indexes every metadata column (Figure 5c) at the space
+//!   cost Table 3 reports.
+//! * [`disk::DiskStore`] — records in a paged on-disk B+tree with a buffer
+//!   pool and a checksummed WAL, checkpointed on close, so the dataset no
+//!   longer has to fit in RAM.
 //!
-//! All connectors enforce the Figure 1 role matrix and keep the audit
-//! trail through the engine — the behaviour is defined once, so the
-//! conformance suite holds for every backend by construction.
+//! Every in-process variant is one [`Connector`] over an engine: a single
+//! generic wrapper forwards the whole [`gdpr_core::GdprConnector`] surface
+//! (batch execution included) to the engine, so behaviour is defined once
+//! and the conformance suite holds for every backend by construction. The
+//! per-backend names ([`RedisConnector`], [`ShardedRedisConnector`],
+//! [`PostgresConnector`], [`DiskConnector`], [`ShardedDiskConnector`]) are
+//! aliases carrying only their constructors and store accessors. Sharded
+//! aliases put N independent stores behind the router: point ops go to the
+//! owning shard, predicates fan out and merge deterministically, and one
+//! audit trail spans the fleet; shard count is semantically invisible.
+//!
+//! [`remote::RemoteConnector`] is not a storage backend but a *network
+//! client*: a pool of [`remote::GdprClient`] connections speaking the
+//! `gdpr-server` wire protocol behind the same interface. Any variant,
+//! served by `gdpr-serve`, is drivable over loopback or a real network;
+//! the conformance suite runs every variant both in-process and
+//! remote-wrapped to pin byte-equivalence.
+//!
+//! [`registry::VARIANTS`] lists every in-process variant by its
+//! driver-facing name.
 
 pub mod disk;
 pub mod postgres;
 pub mod redis;
 pub mod registry;
 pub mod remote;
-pub mod sharded;
 
 pub use disk::{DiskConnector, DiskStore, ShardedDiskConnector};
 pub use postgres::{PostgresConnector, PostgresStore};
-pub use redis::{RedisConnector, RedisStore};
+pub use redis::{RedisConnector, RedisStore, ShardedRedisConnector};
 pub use remote::{GdprClient, RemoteConnector};
-pub use sharded::ShardedRedisConnector;
+
+use gdpr_core::audit::AuditTrail;
+use gdpr_core::compliance::FeatureReport;
+use gdpr_core::connector::SpaceReport;
+use gdpr_core::error::GdprResult;
+use gdpr_core::metaindex::MetadataIndex;
+use gdpr_core::query::GdprQuery;
+use gdpr_core::response::GdprResponse;
+use gdpr_core::role::Session;
+use gdpr_core::sharded::ShardedEngine;
+use gdpr_core::store::RecordStore;
+use gdpr_core::telemetry::OpTelemetrySnapshot;
+use gdpr_core::tenant::TenantId;
+use gdpr_core::{ComplianceEngine, GdprConnector, IndexRecovery};
+use std::sync::Arc;
+
+/// A GDPR connector over one engine — a [`ComplianceEngine`] or a
+/// [`ShardedEngine`]. The wrapper exists so each backend can carry its
+/// own constructors and store accessors as inherent methods (Rust's
+/// orphan rule forbids those on the engine types from this crate).
+pub struct Connector<E> {
+    engine: E,
+}
+
+impl<E> Connector<E> {
+    /// The engine behind the connector (shard inspection, placement
+    /// checks, index snapshots).
+    pub fn engine(&self) -> &E {
+        &self.engine
+    }
+}
+
+impl<S: RecordStore> Connector<ComplianceEngine<S>> {
+    /// The audit trail.
+    pub fn audit(&self) -> &AuditTrail {
+        self.engine.audit()
+    }
+
+    /// The engine's metadata index (present on the indexed variants).
+    pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
+        self.engine.metadata_index()
+    }
+
+    /// How the index came up (snapshot-aware variants only).
+    pub fn index_recovery(&self) -> Option<&IndexRecovery> {
+        self.engine.index_recovery()
+    }
+
+    /// Persist the index snapshot now (snapshot-aware variants only).
+    pub fn write_index_snapshot(&self) -> GdprResult<usize> {
+        self.engine.write_index_snapshot()
+    }
+}
+
+impl<S: RecordStore + 'static> Connector<ShardedEngine<S>> {
+    /// The unified audit trail.
+    pub fn audit(&self) -> &AuditTrail {
+        self.engine.audit()
+    }
+
+    pub fn shard_count(&self) -> usize {
+        self.engine.shard_count()
+    }
+
+    /// The metadata index of one shard (present on the indexed variants).
+    pub fn metadata_index(&self, shard: usize) -> Option<&Arc<MetadataIndex>> {
+        self.engine.shards()[shard].metadata_index()
+    }
+
+    /// How one shard's index came up (snapshot-aware variants only).
+    pub fn index_recovery(&self, shard: usize) -> Option<&IndexRecovery> {
+        self.engine.shards()[shard].index_recovery()
+    }
+
+    /// Persist every shard's index snapshot now (snapshot-aware variants
+    /// only). Returns total entries written.
+    pub fn write_index_snapshots(&self) -> GdprResult<usize> {
+        self.engine.write_index_snapshots()
+    }
+}
+
+impl<E: GdprConnector> GdprConnector for Connector<E> {
+    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
+        self.engine.execute(session, query)
+    }
+
+    fn execute_batch(&self, ops: Vec<(Session, GdprQuery)>) -> Vec<GdprResult<GdprResponse>> {
+        self.engine.execute_batch(ops)
+    }
+
+    fn features(&self) -> FeatureReport {
+        self.engine.features()
+    }
+
+    fn space_report(&self) -> SpaceReport {
+        self.engine.space_report()
+    }
+
+    fn record_count(&self) -> usize {
+        self.engine.record_count()
+    }
+
+    fn name(&self) -> &str {
+        self.engine.name()
+    }
+
+    fn close(&self) -> GdprResult<()> {
+        self.engine.close()
+    }
+
+    fn op_telemetry(&self) -> Option<OpTelemetrySnapshot> {
+        self.engine.op_telemetry()
+    }
+
+    fn op_telemetry_for(&self, tenant: &TenantId) -> Option<OpTelemetrySnapshot> {
+        self.engine.op_telemetry_for(tenant)
+    }
+
+    fn tenant_telemetry(&self) -> Vec<(String, OpTelemetrySnapshot)> {
+        self.engine.tenant_telemetry()
+    }
+
+    fn provision_tenant(&self, tenant: &TenantId) -> GdprResult<()> {
+        self.engine.provision_tenant(tenant)
+    }
+}
 
 #[cfg(test)]
 mod conformance;

@@ -9,7 +9,7 @@
 //!
 //! All GDPR policy (authorization, visibility, audit, dispatch) lives in
 //! [`gdpr_core::ComplianceEngine`]; this module is storage mechanism only.
-//! Two connector variants wrap the same backend:
+//! Four connector variants wrap the same backend:
 //!
 //! * [`RedisConnector::new`] — paper-faithful: every metadata query scans.
 //! * [`RedisConnector::with_metadata_index`] — the engine maintains a
@@ -18,21 +18,26 @@
 //!   active cycles) invalidate index entries via
 //!   [`kvstore::KvStore::set_expiry_listener`], so the index never
 //!   advertises reaped personal data.
+//! * [`ShardedRedisConnector::new`] / [`ShardedRedisConnector::with_metadata_index`]
+//!   — N independent stores behind a [`gdpr_core::ShardedEngine`] router
+//!   (`redis-sharded-scan` / `redis-sharded`). The single store serializes
+//!   every operation through one store-wide lock (the real Redis is
+//!   single-threaded by design); sharding gives each key range its own
+//!   store, lock, index and expiry listener, so point operations on
+//!   disjoint keys proceed in parallel while the router keeps every
+//!   compliance semantic exactly as the unsharded engine defines it.
+//!   Store-side TTL reaps invalidate only the owning shard's index.
 
+use crate::Connector;
 use bytes::Bytes;
-use gdpr_core::audit::AuditTrail;
 use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::engine::ComplianceEngine;
 use gdpr_core::error::{GdprError, GdprResult};
-use gdpr_core::metaindex::MetadataIndex;
-use gdpr_core::query::GdprQuery;
 use gdpr_core::record::PersonalRecord;
-use gdpr_core::response::GdprResponse;
-use gdpr_core::role::Session;
+use gdpr_core::sharded::ShardedEngine;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire;
-use gdpr_core::GdprConnector;
 use kvstore::expire::ExpirationMode;
 use kvstore::{Command, KvConfig, KvStore};
 use std::sync::Arc;
@@ -50,20 +55,6 @@ pub struct RedisStore {
 }
 
 impl RedisStore {
-    /// Wrap an open store as a backend (the sharded connector builds one
-    /// of these per shard).
-    pub(crate) fn over(store: Arc<KvStore>, variant_name: &'static str) -> RedisStore {
-        RedisStore {
-            store,
-            variant_name,
-        }
-    }
-
-    /// The underlying key-value store.
-    pub(crate) fn kv(&self) -> &Arc<KvStore> {
-        &self.store
-    }
-
     fn storage_key(key: &str) -> Bytes {
         Bytes::from(format!("{KEY_PREFIX}{key}"))
     }
@@ -71,103 +62,38 @@ impl RedisStore {
     fn store_err(e: impl ToString) -> GdprError {
         GdprError::Store(e.to_string())
     }
-}
 
-impl RecordStore for RedisStore {
-    fn clock(&self) -> clock::SharedClock {
-        self.store.clock().clone()
-    }
-
-    fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
-        let reply = self
-            .store
-            .get(Self::storage_key(key).as_ref())
-            .map_err(Self::store_err)?;
-        match reply {
-            Some(bytes) => {
-                let text = std::str::from_utf8(&bytes)
-                    .map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
-                Ok(Some(wire::parse(text)?))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Store a record, setting EXPIRE from its TTL. Collision detection is
-    /// an EXISTS probe (hash lookup, lazily reaping an expired occupant) —
-    /// much cheaper than a GET, which would decrypt and parse the record.
-    fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
+    /// The storage key for a fresh record, or `AlreadyExists`. Collision
+    /// detection is an EXISTS probe (hash lookup, lazily reaping an expired
+    /// occupant) — much cheaper than a GET, which would decrypt and parse
+    /// the record.
+    fn vacant_key(&self, record: &PersonalRecord) -> GdprResult<Bytes> {
         let key = Self::storage_key(&record.key);
         if self.store.exists(key.as_ref()).map_err(Self::store_err)? {
             return Err(GdprError::AlreadyExists(record.key.clone()));
         }
+        Ok(key)
+    }
+
+    /// SET the record, arming EXPIRE from its declared TTL (SETEX), or
+    /// clearing any expiry when it declares none.
+    fn set_with_ttl(&self, key: &Bytes, record: &PersonalRecord) -> GdprResult<()> {
         let value = wire::serialize(record);
         match record.metadata.ttl {
-            Some(ttl) => self
-                .store
-                .set_ex(key.as_ref(), value.as_bytes(), ttl)
-                .map_err(Self::store_err),
-            None => self
-                .store
-                .set(key.as_ref(), value.as_bytes())
-                .map_err(Self::store_err),
+            Some(ttl) => self.store.set_ex(key.as_ref(), value.as_bytes(), ttl),
+            None => self.store.set(key.as_ref(), value.as_bytes()),
         }
+        .map_err(Self::store_err)
     }
 
-    /// Rewrite a record in place, preserving its remaining store-level TTL
-    /// unless the update changed the TTL itself.
-    fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()> {
-        let key = Self::storage_key(&record.key);
-        let value = wire::serialize(record);
-        if ttl_changed {
-            return match record.metadata.ttl {
-                Some(ttl) => self
-                    .store
-                    .set_ex(key.as_ref(), value.as_bytes(), ttl)
-                    .map_err(Self::store_err),
-                None => self
-                    .store
-                    .set(key.as_ref(), value.as_bytes())
-                    .map_err(Self::store_err),
-            };
-        }
-        // Preserve the exact millisecond deadline: SET clears any expiry, so
-        // re-arm with EXPIREAT afterwards. Going through the seconds-granular
-        // TTL command instead would shave up to 1s per rewrite (and a
-        // sub-second remainder would truncate to an instant expiry).
-        let deadline = self.store.expiry_at(key.as_ref());
-        self.store
-            .set(key.as_ref(), value.as_bytes())
-            .map_err(Self::store_err)?;
-        if let Some(at) = deadline {
-            self.store
-                .execute(Command::ExpireAt {
-                    key,
-                    at_ms: at.as_millis(),
-                })
-                .map_err(Self::store_err)?;
-        }
-        Ok(())
-    }
-
-    fn delete(&self, key: &str) -> GdprResult<bool> {
-        self.store
-            .del(Self::storage_key(key).as_ref())
-            .map_err(Self::store_err)
-    }
-
-    /// Insert under a known absolute deadline — the shard-rebalance path.
-    /// SET then EXPIREAT, so a migrated record keeps its exact remaining
-    /// lifetime instead of being re-armed with the full declared TTL.
-    fn put_with_deadline(
+    /// SET the record under an exact absolute deadline: SET clears any
+    /// expiry, so re-arm with EXPIREAT afterwards.
+    fn set_until(
         &self,
+        key: Bytes,
         record: &PersonalRecord,
         deadline_ms: Option<u64>,
     ) -> GdprResult<()> {
-        let key = Self::storage_key(&record.key);
-        if self.store.exists(key.as_ref()).map_err(Self::store_err)? {
-            return Err(GdprError::AlreadyExists(record.key.clone()));
-        }
         let value = wire::serialize(record);
         self.store
             .set(key.as_ref(), value.as_bytes())
@@ -180,14 +106,9 @@ impl RecordStore for RedisStore {
         Ok(())
     }
 
-    /// Full keyspace walk: SCAN `rec:*` in batches and parse every record —
-    /// the O(n) path every metadata query takes without an engine index.
-    ///
-    /// The cursor walk completes *before* any GET: a GET can lazily reap an
-    /// expired key, and the keyspace's swap-remove would then move an
-    /// unvisited tail key into an already-visited cursor position, silently
-    /// dropping a live record from the scan.
-    fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
+    /// Every `rec:*` storage key, by a key-only SCAN cursor walk in
+    /// batches. Nothing here reads a value, so nothing is reaped mid-walk.
+    fn scan_keys(&self) -> GdprResult<Vec<Bytes>> {
         let mut keys = Vec::new();
         let mut cursor = 0usize;
         loop {
@@ -211,10 +132,81 @@ impl RecordStore for RedisStore {
                     .filter_map(|r| r.as_bulk().cloned()),
             );
             if next == 0 {
-                break;
+                return Ok(keys);
             }
             cursor = next;
         }
+    }
+}
+
+impl RecordStore for RedisStore {
+    fn clock(&self) -> clock::SharedClock {
+        self.store.clock().clone()
+    }
+
+    fn fetch(&self, key: &str) -> GdprResult<Option<PersonalRecord>> {
+        let reply = self
+            .store
+            .get(Self::storage_key(key).as_ref())
+            .map_err(Self::store_err)?;
+        match reply {
+            Some(bytes) => {
+                let text = std::str::from_utf8(&bytes)
+                    .map_err(|e| GdprError::InvalidRecord(e.to_string()))?;
+                Ok(Some(wire::parse(text)?))
+            }
+            None => Ok(None),
+        }
+    }
+
+    /// Store a record, setting EXPIRE from its TTL.
+    fn put(&self, record: &PersonalRecord) -> GdprResult<()> {
+        let key = self.vacant_key(record)?;
+        self.set_with_ttl(&key, record)
+    }
+
+    /// Rewrite a record in place, preserving its remaining store-level TTL
+    /// unless the update changed the TTL itself.
+    fn rewrite(&self, record: &PersonalRecord, ttl_changed: bool) -> GdprResult<()> {
+        let key = Self::storage_key(&record.key);
+        if ttl_changed {
+            return self.set_with_ttl(&key, record);
+        }
+        // Preserve the exact millisecond deadline through EXPIREAT. Going
+        // through the seconds-granular TTL command instead would shave up
+        // to 1s per rewrite (and a sub-second remainder would truncate to
+        // an instant expiry).
+        let deadline = self.store.expiry_at(key.as_ref()).map(|at| at.as_millis());
+        self.set_until(key, record, deadline)
+    }
+
+    fn delete(&self, key: &str) -> GdprResult<bool> {
+        self.store
+            .del(Self::storage_key(key).as_ref())
+            .map_err(Self::store_err)
+    }
+
+    /// Insert under a known absolute deadline — the shard-rebalance path.
+    /// SET then EXPIREAT, so a migrated record keeps its exact remaining
+    /// lifetime instead of being re-armed with the full declared TTL.
+    fn put_with_deadline(
+        &self,
+        record: &PersonalRecord,
+        deadline_ms: Option<u64>,
+    ) -> GdprResult<()> {
+        let key = self.vacant_key(record)?;
+        self.set_until(key, record, deadline_ms)
+    }
+
+    /// Full keyspace walk: SCAN `rec:*` in batches and parse every record —
+    /// the O(n) path every metadata query takes without an engine index.
+    ///
+    /// The cursor walk completes *before* any GET: a GET can lazily reap an
+    /// expired key, and the keyspace's swap-remove would then move an
+    /// unvisited tail key into an already-visited cursor position, silently
+    /// dropping a live record from the scan.
+    fn scan(&self) -> GdprResult<Vec<PersonalRecord>> {
+        let keys = self.scan_keys()?;
         let mut records = Vec::with_capacity(keys.len());
         for key in keys {
             if let Ok(Some(reply)) = self.store.get(key.as_ref()).map_err(|e| e.to_string()) {
@@ -240,45 +232,19 @@ impl RecordStore for RedisStore {
     /// deadline check must go through the pure `expiry_at` read.
     fn expired_keys(&self) -> GdprResult<Vec<String>> {
         let now_ms = self.store.clock().now().as_millis();
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        loop {
-            let reply = self
-                .store
-                .execute(Command::Scan {
-                    cursor,
-                    count: SCAN_BATCH,
-                    pattern: Some(Bytes::from_static(b"rec:*")),
-                })
-                .map_err(Self::store_err)?;
-            let parts = reply
-                .as_array()
-                .ok_or_else(|| GdprError::Store("SCAN reply shape".into()))?;
-            let next = parts[0].as_int().unwrap_or(0) as usize;
-            for storage_key in parts[1]
-                .as_array()
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|r| r.as_bulk())
-            {
-                let due = self
-                    .store
+        Ok(self
+            .scan_keys()?
+            .iter()
+            .filter(|storage_key| {
+                self.store
                     .expiry_at(storage_key.as_ref())
-                    .is_some_and(|at| at.as_millis() <= now_ms);
-                if due {
-                    if let Ok(text) = std::str::from_utf8(storage_key.as_ref()) {
-                        if let Some(key) = text.strip_prefix(KEY_PREFIX) {
-                            out.push(key.to_string());
-                        }
-                    }
-                }
-            }
-            if next == 0 {
-                break;
-            }
-            cursor = next;
-        }
-        Ok(out)
+                    .is_some_and(|at| at.as_millis() <= now_ms)
+            })
+            .filter_map(|storage_key| {
+                let text = std::str::from_utf8(storage_key.as_ref()).ok()?;
+                text.strip_prefix(KEY_PREFIX).map(str::to_string)
+            })
+            .collect())
     }
 
     fn deadline_ms(&self, key: &str) -> Option<u64> {
@@ -306,6 +272,11 @@ impl RecordStore for RedisStore {
                     }
                 }
             }));
+    }
+
+    /// Flush the AOF.
+    fn close(&self) -> GdprResult<()> {
+        self.store.sync_aof().map_err(Self::store_err)
     }
 
     fn space_report(&self) -> SpaceReport {
@@ -359,17 +330,17 @@ impl RecordStore for RedisStore {
     }
 }
 
-/// GDPR connector over [`kvstore::KvStore`]: the shared engine driving a
-/// [`RedisStore`] backend.
-pub struct RedisConnector {
-    engine: ComplianceEngine<RedisStore>,
-}
+/// GDPR connector over one [`kvstore::KvStore`].
+pub type RedisConnector = Connector<ComplianceEngine<RedisStore>>;
+
+/// GDPR connector hash-partitioning records across N key-value stores.
+pub type ShardedRedisConnector = Connector<ShardedEngine<RedisStore>>;
 
 impl RedisConnector {
     /// Wrap an open store, paper-faithful (no metadata index: every
     /// metadata query scans the keyspace).
     pub fn new(store: Arc<KvStore>) -> Self {
-        RedisConnector {
+        Connector {
             engine: ComplianceEngine::new(RedisStore {
                 store,
                 variant_name: "redis",
@@ -384,7 +355,7 @@ impl RedisConnector {
             store,
             variant_name: "redis-mi",
         };
-        Ok(RedisConnector {
+        Ok(Connector {
             engine: ComplianceEngine::with_metadata_index(backend)?,
         })
     }
@@ -392,7 +363,7 @@ impl RedisConnector {
     /// As [`Self::with_metadata_index`], but the index recovers through
     /// the snapshot image at `path` — O(index) when the image's
     /// generation stamp matches the store's AOF position, the usual O(n)
-    /// scan-backfill (loudly) otherwise — and [`Self::close`] /
+    /// scan-backfill (loudly) otherwise — and a graceful close /
     /// [`Self::write_index_snapshot`] persist it there again.
     pub fn with_metadata_index_snapshot(
         store: Arc<KvStore>,
@@ -402,36 +373,16 @@ impl RedisConnector {
             store,
             variant_name: "redis-mi",
         };
-        Ok(RedisConnector {
+        Ok(Connector {
             engine: ComplianceEngine::with_metadata_index_snapshot(backend, path)?,
         })
-    }
-
-    /// How the index came up (snapshot-aware variant only).
-    pub fn index_recovery(&self) -> Option<&gdpr_core::IndexRecovery> {
-        self.engine.index_recovery()
-    }
-
-    /// Persist the index snapshot now (snapshot-aware variant only).
-    pub fn write_index_snapshot(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshot()
-    }
-
-    /// Graceful close: snapshot the index when so configured, and flush
-    /// the store's AOF.
-    pub fn close(&self) -> GdprResult<usize> {
-        let written = self.engine.close()?;
-        self.store()
-            .sync_aof()
-            .map_err(|e| GdprError::Store(e.to_string()))?;
-        Ok(written)
     }
 
     /// Open a fully GDPR-compliant in-memory store (strict TTL, read
     /// logging, encryption) and wrap it.
     pub fn open_compliant() -> GdprResult<Self> {
-        let store = KvStore::open(KvConfig::gdpr_compliant_in_memory())
-            .map_err(|e| GdprError::Store(e.to_string()))?;
+        let store =
+            KvStore::open(KvConfig::gdpr_compliant_in_memory()).map_err(RedisStore::store_err)?;
         Ok(Self::new(store))
     }
 
@@ -439,59 +390,70 @@ impl RedisConnector {
     pub fn store(&self) -> &Arc<KvStore> {
         &self.engine.store().store
     }
-
-    /// The audit trail.
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
-    }
-
-    /// The engine's metadata index (present on the `-mi` variant).
-    pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
-        self.engine.metadata_index()
-    }
 }
 
-impl GdprConnector for RedisConnector {
-    fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
-        self.engine.execute(session, query)
+/// One backend per shard store. Every shard reports the plain `redis`
+/// name; the router carries the variant name.
+fn shard_backends(stores: Vec<Arc<KvStore>>) -> Vec<RedisStore> {
+    stores
+        .into_iter()
+        .map(|store| RedisStore {
+            store,
+            variant_name: "redis",
+        })
+        .collect()
+}
+
+impl ShardedRedisConnector {
+    /// Wrap open stores, one per shard, scan-based (paper-faithful within
+    /// each shard: every metadata query scans the shard's keyspace).
+    pub fn new(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ShardedEngine::new(shard_backends(stores))?.named("redis-sharded-scan"),
+        })
     }
 
-    fn features(&self) -> FeatureReport {
-        self.engine.features()
+    /// Wrap open stores with a per-shard engine-maintained metadata index —
+    /// the headline `redis-sharded` variant.
+    pub fn with_metadata_index(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ShardedEngine::with_metadata_index(shard_backends(stores))?
+                .named("redis-sharded"),
+        })
     }
 
-    fn space_report(&self) -> SpaceReport {
-        self.engine.space_report()
+    /// The snapshot-aware sharded open path: as
+    /// [`Self::with_metadata_index`], but shard *i* recovers its index
+    /// from `dir/metaindex-shard-i.snap` when that image matches the
+    /// shard store's AOF position and was written as shard *i* of exactly
+    /// this shard count — a reopen under a different count rebuilds every
+    /// index (the header records the topology), consistent with
+    /// `verify_placement` flagging the store side.
+    pub fn with_metadata_index_snapshots(
+        stores: Vec<Arc<KvStore>>,
+        dir: impl AsRef<std::path::Path>,
+    ) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ShardedEngine::with_metadata_index_snapshots(shard_backends(stores), dir)?
+                .named("redis-sharded"),
+        })
     }
 
-    fn record_count(&self) -> usize {
-        self.engine.record_count()
+    /// Open `shards` fresh default in-memory stores on one wall clock and
+    /// wrap them (indexed).
+    pub fn open(shards: usize) -> GdprResult<Self> {
+        let clock = clock::wall();
+        let stores = (0..shards.max(1))
+            .map(|_| {
+                KvStore::open_with_clock(KvConfig::default(), clock.clone())
+                    .map_err(RedisStore::store_err)
+            })
+            .collect::<GdprResult<Vec<_>>>()?;
+        Self::with_metadata_index(stores)
     }
 
-    fn name(&self) -> &str {
-        self.engine.name()
-    }
-
-    fn op_telemetry(&self) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry()
-    }
-
-    fn op_telemetry_for(
-        &self,
-        tenant: &gdpr_core::tenant::TenantId,
-    ) -> Option<gdpr_core::telemetry::OpTelemetrySnapshot> {
-        self.engine.op_telemetry_for(tenant)
-    }
-
-    fn tenant_telemetry(&self) -> Vec<(String, gdpr_core::telemetry::OpTelemetrySnapshot)> {
-        self.engine.tenant_telemetry()
-    }
-
-    fn provision_tenant(&self, tenant: &gdpr_core::tenant::TenantId) -> GdprResult<()> {
-        self.engine.provision_tenant(tenant)
-    }
-
-    fn close(&self) -> GdprResult<()> {
-        RedisConnector::close(self).map(|_| ())
+    /// The underlying store of one shard.
+    pub fn store(&self, shard: usize) -> &Arc<KvStore> {
+        &self.engine.shards()[shard].store().store
     }
 }

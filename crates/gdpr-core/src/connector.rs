@@ -67,9 +67,9 @@ pub trait GdprConnector: Send + Sync {
     /// `postgres-mi`).
     fn name(&self) -> &str;
 
-    /// Graceful shutdown hook: flush whatever durable state the connector
-    /// keeps outside the store's own persistence — today, the metadata
-    /// index snapshot of the snapshot-aware variants. Default no-op;
+    /// Graceful shutdown hook: persist the metadata index snapshot of the
+    /// snapshot-aware variants and flush the store's own log (engines call
+    /// [`crate::store::RecordStore::close`]). Default no-op;
     /// callers (e.g. `gdpr-serve`) invoke it exactly once on a clean
     /// exit, and implementations must tolerate repeated calls.
     fn close(&self) -> GdprResult<()> {

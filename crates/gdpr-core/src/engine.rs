@@ -435,15 +435,17 @@ impl<S: RecordStore> ComplianceEngine<S> {
         Ok(written)
     }
 
-    /// Graceful close: persist the index snapshot when one is configured
-    /// (no-op otherwise), returning the entries written. Safe to call
-    /// repeatedly.
+    /// Graceful close: persist the index snapshot when one is configured,
+    /// then flush the store ([`RecordStore::close`]), returning the index
+    /// entries written. Safe to call repeatedly.
     pub fn close(&self) -> GdprResult<usize> {
-        if self.snapshot.is_some() {
-            self.write_index_snapshot()
+        let written = if self.snapshot.is_some() {
+            self.write_index_snapshot()?
         } else {
-            Ok(0)
-        }
+            0
+        };
+        self.store.close()?;
+        Ok(written)
     }
 
     /// The backend.
@@ -452,7 +454,7 @@ impl<S: RecordStore> ComplianceEngine<S> {
     }
 
     /// The default tenant's audit trail serving GET-SYSTEM-LOGS (named
-    /// tenants keep their own; see [`Self::tenant_audit`]).
+    /// tenants keep their own).
     pub fn audit(&self) -> &AuditTrail {
         &self.tenants.default_state.audit
     }
@@ -466,13 +468,6 @@ impl<S: RecordStore> ComplianceEngine<S> {
     /// maintains indexes.
     pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
         self.tenants.default_state.index.as_ref()
-    }
-
-    /// A named tenant's metadata index partition, if it exists.
-    pub fn tenant_metadata_index(&self, tenant: &TenantId) -> Option<Arc<MetadataIndex>> {
-        self.tenants
-            .get(tenant.name())
-            .and_then(|s| s.index.clone())
     }
 
     /// The default tenant's per-opcode telemetry table.

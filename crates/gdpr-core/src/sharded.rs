@@ -274,7 +274,7 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
     }
 
     /// Graceful close: snapshot every shard's index when the engine was
-    /// opened snapshot-aware (no-op otherwise). Idempotent.
+    /// opened snapshot-aware, and flush every shard's store. Idempotent.
     pub fn close(&self) -> GdprResult<usize> {
         let mut total = 0;
         for shard in &self.shards {
@@ -339,15 +339,10 @@ impl<S: RecordStore + 'static> ShardedEngine<S> {
         &self.shards
     }
 
-    /// The shard index owning a **storage** key (the tenant-namespaced
-    /// form a record is stored under).
-    pub fn shard_index_of(&self, storage_key: &str) -> usize {
-        shard_of(storage_key, self.shards.len())
-    }
-
-    /// The engine owning a storage key.
+    /// The engine owning a **storage** key (the tenant-namespaced form a
+    /// record is stored under).
     pub fn shard_for(&self, storage_key: &str) -> &ComplianceEngine<S> {
-        &self.shards[self.shard_index_of(storage_key)]
+        &self.shards[shard_of(storage_key, self.shards.len())]
     }
 
     /// The engine owning `key` as seen by `session`'s tenant: routing

@@ -203,6 +203,15 @@ pub trait RecordStore: Send + Sync {
         let _ = listener;
     }
 
+    /// Make the store's own persistence durable on a graceful close (the
+    /// key-value backend syncs its AOF, the relational one its WAL, the
+    /// paged one checkpoints). Called by
+    /// [`crate::engine::ComplianceEngine::close`] after the index snapshot;
+    /// must tolerate repeated calls. Default no-op.
+    fn close(&self) -> GdprResult<()> {
+        Ok(())
+    }
+
     /// Space accounting for the Table 3 metric.
     fn space_report(&self) -> SpaceReport;
 

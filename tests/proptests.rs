@@ -1317,7 +1317,7 @@ mod sharded_invariance {
             }
             // Placement is correct in every topology.
             for conn in &sharded {
-                conn.verify_placement().unwrap();
+                conn.engine().verify_placement().unwrap();
             }
             // And every shard's index answers the full predicate set —
             // the negative predicates take the index path at every shard

@@ -128,7 +128,7 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
     let recovered =
         ShardedRedisConnector::with_metadata_index(replay_fleet(&gdprbench_repro::clock::wall()))
             .unwrap();
-    recovered.verify_placement().unwrap();
+    recovered.engine().verify_placement().unwrap();
     assert_eq!(recovered.record_count(), 15);
     let regulator = Session::regulator();
     assert_eq!(
@@ -144,7 +144,7 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
     let mut misrouted_stores = replay_fleet(&mis_clk);
     misrouted_stores.push(KvStore::open_with_clock(config.clone(), mis_clk.clone()).unwrap());
     let misrouted = ShardedRedisConnector::with_metadata_index(misrouted_stores).unwrap();
-    let err = misrouted.verify_placement().unwrap_err();
+    let err = misrouted.engine().verify_placement().unwrap_err();
     assert!(
         matches!(err, GdprError::ShardMisroute { shard_count: 3, .. }),
         "changed shard count must be detected loudly, got {err}"
@@ -152,9 +152,9 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
 
     // Rebalance migrates records to their owners; nothing misroutes, every
     // live record answers, and the erasure still holds.
-    let moved = misrouted.rebalance().unwrap();
+    let moved = misrouted.engine().rebalance().unwrap();
     assert!(moved > 0, "a 2→3 reshard must move records");
-    misrouted.verify_placement().unwrap();
+    misrouted.engine().verify_placement().unwrap();
     assert_eq!(misrouted.record_count(), 15);
     let resp = misrouted
         .execute(

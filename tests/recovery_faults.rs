@@ -437,7 +437,10 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
         conn.execute(&controller, &GdprQuery::CreateRecord(r.clone()))
             .unwrap();
     }
-    assert!(conn.close().unwrap() > 0, "close persists the images");
+    assert!(
+        conn.engine().close().unwrap() > 0,
+        "close persists the images"
+    );
     let aofs: Vec<Vec<u8>> = stores
         .iter()
         .map(|s| s.aof_memory_buffer().unwrap().lock().clone())
@@ -462,7 +465,7 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
             "shard {shard} must restore under the original topology"
         );
     }
-    same.verify_placement().unwrap();
+    same.engine().verify_placement().unwrap();
     for user in ["u0", "u1", "u2", "u3"] {
         assert_eq!(
             conn.execute(
@@ -504,9 +507,12 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
             ..
         }
     ));
-    assert!(three.verify_placement().is_err(), "store side misroutes");
-    assert!(three.rebalance().unwrap() > 0);
-    three.verify_placement().unwrap();
+    assert!(
+        three.engine().verify_placement().is_err(),
+        "store side misroutes"
+    );
+    assert!(three.engine().rebalance().unwrap() > 0);
+    three.engine().verify_placement().unwrap();
     let resp = three
         .execute(
             &Session::customer("u0"),
