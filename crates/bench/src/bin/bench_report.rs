@@ -1,10 +1,12 @@
 //! Machine-readable benchmark report: runs the `remote_throughput`,
 //! encrypted-transport, `shard_scaling`, and open-loop `latency` suites in
-//! one process and writes a suite → metric → value JSON file (default
-//! `BENCH_8.json`) alongside the usual text tables.
+//! one process and writes a suite → metric → value JSON file to the
+//! required `--out PATH` alongside the usual text tables. There is no
+//! default path, so a run can never overwrite a committed history file
+//! by accident.
 //!
 //! ```sh
-//! bench_report --records 20000 --ops 60000 --out BENCH_8.json
+//! bench_report --records 20000 --ops 60000 --out bench-report.json
 //! ```
 //!
 //! Accepts the common experiment flags (`--records`, `--ops`,
@@ -22,13 +24,13 @@ use bench::report::BenchReport;
 
 fn main() {
     // Peel off `--out PATH`; everything else is the common flag set.
-    let mut out_path = "BENCH_8.json".to_string();
+    let mut out_path = None;
     let mut rest = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         if flag == "--out" {
             match argv.next() {
-                Some(path) => out_path = path,
+                Some(path) => out_path = Some(path),
                 None => {
                     eprintln!("--out requires a value");
                     std::process::exit(2);
@@ -38,12 +40,17 @@ fn main() {
             rest.push(flag);
         }
     }
+    let usage = "plus: --out PATH (required)";
     let params = match Params::parse_from(rest) {
         Ok(params) => params,
         Err(msg) => {
-            eprintln!("{msg}\nplus: [--out PATH] (default BENCH_8.json)");
+            eprintln!("{msg}\n{usage}");
             std::process::exit(2);
         }
+    };
+    let Some(out_path) = out_path else {
+        eprintln!("bench_report: --out PATH is required\n{usage}");
+        std::process::exit(2);
     };
     let shards = if params.shards == 0 { 4 } else { params.shards };
     let clients: Vec<usize> = if params.threads == Params::default().threads {

@@ -211,7 +211,7 @@ mod tests {
         use gdpr_core::GdprConnector;
         let scratch = ScratchDir::new("full");
         let redis = compliant_redis(&scratch);
-        redis.store().stop_expiration_driver();
+        redis.store(0).stop_expiration_driver();
         assert!(
             redis.features().is_fully_compliant(),
             "{:?}",

@@ -142,7 +142,7 @@ pub fn run_micro(records: usize) -> RecoveryPoint {
         let elapsed = start.elapsed();
         assert!(
             restored
-                .index_recovery()
+                .index_recovery(0)
                 .is_some_and(gdpr_core::IndexRecovery::is_restored),
             "a matching snapshot must take the restore path"
         );
@@ -168,7 +168,7 @@ pub fn run_micro(records: usize) -> RecoveryPoint {
         RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).expect("open");
     let stale_fallback = start.elapsed();
     assert!(
-        stale.index_recovery().is_some_and(|r| !r.is_restored()),
+        stale.index_recovery(0).is_some_and(|r| !r.is_restored()),
         "a stale snapshot must force the rebuild"
     );
     assert_eq!(
@@ -366,7 +366,7 @@ pub fn run_disk_micro(records: usize) -> DiskRecoveryPoint {
             let elapsed = start.elapsed();
             assert!(
                 restored
-                    .index_recovery()
+                    .index_recovery(0)
                     .is_some_and(gdpr_core::IndexRecovery::is_restored),
                 "a generation-matched snapshot must take the restore path"
             );
@@ -501,7 +501,7 @@ mod tests {
             DiskConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
         assert!(
             restored
-                .index_recovery()
+                .index_recovery(0)
                 .is_some_and(gdpr_core::IndexRecovery::is_restored),
             "matching generation must restore"
         );
@@ -513,7 +513,7 @@ mod tests {
             .expect("smuggle commit");
         let stale = DiskConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
         assert!(
-            stale.index_recovery().is_some_and(|r| !r.is_restored()),
+            stale.index_recovery(0).is_some_and(|r| !r.is_restored()),
             "a moved commit sequence must force the rebuild"
         );
         assert!(stale

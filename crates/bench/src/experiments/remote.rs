@@ -17,7 +17,7 @@
 //! table.
 
 use crate::report::{fmt_ops, ExperimentTable};
-use connectors::{GdprClient, ShardedRedisConnector};
+use connectors::{GdprClient, RedisConnector};
 use gdpr_core::record::{Metadata, PersonalRecord};
 use gdpr_core::telemetry::{self, AtomicHistogram, HistogramSnapshot};
 use gdpr_core::{EngineHandle, GdprConnector, GdprQuery, Session};
@@ -49,7 +49,7 @@ fn point_record(i: usize) -> PersonalRecord {
 
 /// Build the engine under test, preloaded with `records` point-op targets.
 pub fn build_engine(shards: usize, records: usize) -> EngineHandle {
-    let conn = Arc::new(ShardedRedisConnector::open(shards).expect("open sharded"));
+    let conn = Arc::new(RedisConnector::open_sharded(shards).expect("open sharded"));
     let controller = Session::controller();
     for i in 0..records {
         conn.execute(&controller, &GdprQuery::CreateRecord(point_record(i)))

@@ -14,7 +14,7 @@
 //! bench measures the same batch at N = 1 vs 8.
 
 use crate::report::{fmt_duration, fmt_ops, ExperimentTable};
-use connectors::ShardedRedisConnector;
+use connectors::RedisConnector;
 use gdpr_core::record::{Metadata, PersonalRecord};
 use gdpr_core::{GdprConnector, GdprQuery, Session};
 use rand::rngs::SmallRng;
@@ -42,8 +42,8 @@ fn point_record(i: usize) -> PersonalRecord {
 
 /// Build an indexed sharded connector preloaded with `records` point-op
 /// targets.
-pub fn build_sharded(shards: usize, records: usize) -> Arc<ShardedRedisConnector> {
-    let conn = Arc::new(ShardedRedisConnector::open(shards).expect("open sharded"));
+pub fn build_sharded(shards: usize, records: usize) -> Arc<RedisConnector> {
+    let conn = Arc::new(RedisConnector::open_sharded(shards).expect("open sharded"));
     let controller = Session::controller();
     for i in 0..records {
         conn.execute(&controller, &GdprQuery::CreateRecord(point_record(i)))
@@ -55,7 +55,7 @@ pub fn build_sharded(shards: usize, records: usize) -> Arc<ShardedRedisConnector
 /// Run `ops` point operations split across `threads` client threads
 /// against one connector; returns the wall-clock completion time.
 pub fn run_point_ops(
-    conn: &Arc<ShardedRedisConnector>,
+    conn: &Arc<RedisConnector>,
     records: usize,
     ops: u64,
     threads: usize,

@@ -40,7 +40,7 @@ pub fn article_map_table() -> ExperimentTable {
 pub fn compliance_table() -> ExperimentTable {
     let scratch = ScratchDir::new("table1");
     let redis = compliant_redis(&scratch);
-    redis.store().stop_expiration_driver();
+    redis.store(0).stop_expiration_driver();
     let pg = compliant_postgres_mi(&scratch);
 
     let mut table = ExperimentTable::new(

@@ -9,7 +9,7 @@
 //! (`gdpr-server` + `RemoteConnector`), so a transport-dependent semantic
 //! cannot land either.
 
-use crate::{PostgresConnector, RedisConnector, RemoteConnector, ShardedRedisConnector};
+use crate::{PostgresConnector, RedisConnector, RemoteConnector};
 use gdpr_core::query::{GdprQuery, MetadataField, MetadataUpdate};
 use gdpr_core::record::{Metadata, PersonalRecord};
 use gdpr_core::response::GdprResponse;
@@ -476,7 +476,7 @@ fn redis_index_invalidated_by_store_expiry() {
     // Active cycle reaps the key; the listener must scrub all four
     // inverted indexes and the deadline set.
     sim.advance(Duration::from_secs(11));
-    assert_eq!(redis.store().run_expiration_cycle().reaped, 1);
+    assert_eq!(redis.store(0).run_expiration_cycle().reaped, 1);
     assert!(
         index.fully_absent("exp-1"),
         "expiry must invalidate the index"
@@ -712,7 +712,7 @@ fn negative_predicates_resolve_via_index_on_every_indexed_variant() {
     let shards = gdpr_core::shard_count_from_env();
     let scan_conn = RedisConnector::new(open_kv());
     let index_conn = RedisConnector::with_metadata_index(open_kv()).unwrap();
-    let sharded_conn = ShardedRedisConnector::with_metadata_index(open_kv_fleet(shards)).unwrap();
+    let sharded_conn = RedisConnector::sharded_with_metadata_index(open_kv_fleet(shards)).unwrap();
     let conns: [&dyn GdprConnector; 3] = [&scan_conn, &index_conn, &sharded_conn];
     let neo = Session::customer("neo");
     for conn in conns {
@@ -757,7 +757,7 @@ fn negative_predicates_resolve_via_index_on_every_indexed_variant() {
         for shard in 0..shards {
             assert!(
                 sharded_conn
-                    .metadata_index(shard)
+                    .metadata_index_at(shard)
                     .unwrap()
                     .keys_for(pred)
                     .is_some(),
@@ -1114,8 +1114,8 @@ fn delete_expired_query_purges() {
 /// holds *per shard* and survives the merge.
 #[test]
 fn sharded_index_and_scan_agree_on_all_predicates() {
-    let scan_conn = ShardedRedisConnector::new(open_kv_fleet(3)).unwrap();
-    let index_conn = ShardedRedisConnector::with_metadata_index(open_kv_fleet(3)).unwrap();
+    let scan_conn = RedisConnector::sharded(open_kv_fleet(3)).unwrap();
+    let index_conn = RedisConnector::sharded_with_metadata_index(open_kv_fleet(3)).unwrap();
     let unsharded = RedisConnector::new(open_kv());
     let conns: [&dyn GdprConnector; 3] = [&scan_conn, &index_conn, &unsharded];
     for conn in conns {
@@ -1203,7 +1203,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
             .unwrap()
         })
         .collect();
-    let conn = ShardedRedisConnector::with_metadata_index(stores).unwrap();
+    let conn = RedisConnector::sharded_with_metadata_index(stores).unwrap();
     let controller = Session::controller();
     // Enough keys that every shard owns some; all expire at t=10s.
     let mut keys_of_shard: Vec<Vec<String>> = vec![Vec::new(); shards];
@@ -1217,7 +1217,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
     }
     for (i, keys) in keys_of_shard.iter().enumerate() {
         assert!(!keys.is_empty(), "shard {i} owns no keys; widen the corpus");
-        assert_eq!(conn.metadata_index(i).unwrap().len(), keys.len());
+        assert_eq!(conn.metadata_index_at(i).unwrap().len(), keys.len());
     }
 
     sim.advance(Duration::from_secs(11));
@@ -1226,12 +1226,12 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
     assert_eq!(reaped, keys_of_shard[0].len());
     for key in &keys_of_shard[0] {
         assert!(
-            conn.metadata_index(0).unwrap().fully_absent(key),
+            conn.metadata_index_at(0).unwrap().fully_absent(key),
             "{key} must leave shard 0's index"
         );
         for other in 1..shards {
             assert!(
-                conn.metadata_index(other).unwrap().fully_absent(key),
+                conn.metadata_index_at(other).unwrap().fully_absent(key),
                 "{key} must never appear in shard {other}'s index"
             );
         }
@@ -1240,7 +1240,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
     // keys are still indexed until their own shard reaps them.
     for (other, keys) in keys_of_shard.iter().enumerate().skip(1) {
         assert_eq!(
-            conn.metadata_index(other).unwrap().len(),
+            conn.metadata_index_at(other).unwrap().len(),
             keys.len(),
             "shard {other}'s index must not be scrubbed by shard 0's cycle"
         );
@@ -1256,7 +1256,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
         ),
         Err(GdprError::NotFound(_))
     ));
-    assert!(conn.metadata_index(1).unwrap().fully_absent(probe));
+    assert!(conn.metadata_index_at(1).unwrap().fully_absent(probe));
 
     // DELETE-RECORD-BY-TTL drains every shard's deadline set; all indexes
     // end empty with nothing stranded anywhere.
@@ -1264,7 +1264,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
         .unwrap();
     for i in 0..shards {
         assert!(
-            conn.metadata_index(i).unwrap().is_empty(),
+            conn.metadata_index_at(i).unwrap().is_empty(),
             "shard {i}'s index must end empty"
         );
     }
@@ -1275,7 +1275,7 @@ fn sharded_ttl_expiry_scrubs_only_the_owning_shard() {
 /// event, point ops audit once, and shards contribute no fragments.
 #[test]
 fn sharded_audit_stream_is_unified_and_ordered() {
-    let conn = ShardedRedisConnector::with_metadata_index(open_kv_fleet(4)).unwrap();
+    let conn = RedisConnector::sharded_with_metadata_index(open_kv_fleet(4)).unwrap();
     seed(&conn); // 5 creates
     let neo = Session::customer("neo");
     conn.execute(&neo, &GdprQuery::ReadDataByUser("neo".into()))
@@ -1713,6 +1713,78 @@ fn tenants_are_fully_isolated_over_the_encrypted_transport() {
     assert_eq!(resp.cardinality(), 1); // ph-2 survives the isolation run
 }
 
+/// A fresh engine over a store that already holds named-tenant records —
+/// a WAL- or AOF-recovery reopen — opens multi-tenant even when it keeps
+/// no engine index: the default tenant's predicate deletes and TTL purge
+/// erase and count only its own records. The store-wide pushdowns would
+/// erase `acme/k` along with `d` and count both.
+#[test]
+fn reopened_unindexed_engine_keeps_default_tenant_erasure_in_its_tenant() {
+    use gdpr_core::error::GdprResult;
+    use gdpr_core::tenant::TenantId;
+    let controller = Session::controller();
+    let acme = Session::controller().with_tenant(TenantId::new("acme").unwrap());
+    let seed = |conn: &dyn GdprConnector| {
+        for (session, key) in [(&acme, "k"), (&controller, "d")] {
+            conn.execute(
+                session,
+                &GdprQuery::CreateRecord(record(key, "neo", &["ads"], "x")),
+            )
+            .unwrap();
+        }
+    };
+    type Open = fn(Arc<relstore::Database>) -> GdprResult<PostgresConnector>;
+    let variants: [(&str, Open); 2] = [
+        ("postgres", PostgresConnector::new),
+        ("postgres-mi", PostgresConnector::with_metadata_indices),
+    ];
+    for (name, open) in variants {
+        for query in [
+            GdprQuery::DeleteByPurpose("ads".into()),
+            GdprQuery::DeleteByUser("neo".into()),
+            GdprQuery::DeleteExpired,
+        ] {
+            let sim = clock::sim();
+            let db =
+                relstore::Database::open_with_clock(relstore::RelConfig::default(), sim.clone())
+                    .unwrap();
+            seed(&open(Arc::clone(&db)).unwrap());
+            sim.advance(Duration::from_secs(3601));
+            // A second connector over the same database stands in for a
+            // WAL-recovery reopen (`create_table` is idempotent for
+            // exactly that path).
+            let reopened = open(db).unwrap();
+            assert_eq!(
+                reopened.execute(&controller, &query).unwrap(),
+                GdprResponse::Deleted(1),
+                "{name}: {query:?} must erase and count only the default tenant's record"
+            );
+            assert_eq!(
+                reopened
+                    .execute(&acme, &GdprQuery::VerifyDeletion("k".into()))
+                    .unwrap(),
+                GdprResponse::DeletionVerified(false),
+                "{name}: {query:?} by the default tenant erased acme/k"
+            );
+        }
+    }
+    // The key-value store reaps past-due records on read, so the reopened
+    // engine must find the tenants without reading records: an open that
+    // reaped the pair would leave the purge nothing to count.
+    let sim = clock::sim();
+    let kv = kvstore::KvStore::open_with_clock(kvstore::KvConfig::default(), sim.clone()).unwrap();
+    seed(&RedisConnector::new(Arc::clone(&kv)));
+    sim.advance(Duration::from_secs(3601));
+    let reopened = RedisConnector::new(kv);
+    assert_eq!(
+        reopened
+            .execute(&controller, &GdprQuery::DeleteExpired)
+            .unwrap(),
+        GdprResponse::Deleted(1),
+        "redis: the default tenant's purge must count only its own record"
+    );
+}
+
 // ---- restart equivalence (index snapshot recovery) ----
 
 /// A unique scratch directory per call (tests run concurrently).
@@ -1860,7 +1932,7 @@ fn restart_equivalence_sharded_and_remote() {
         .map(|_| kvstore::KvStore::open_with_clock(aof_kv_config(), sim.clone()).unwrap())
         .collect();
     let original =
-        ShardedRedisConnector::with_metadata_index_snapshots(fleet.clone(), &dir).unwrap();
+        RedisConnector::sharded_with_metadata_index_snapshots(fleet.clone(), &dir).unwrap();
     restart_op_mix(&original);
     assert!(
         original.engine().close().unwrap() > 0,
@@ -1875,7 +1947,7 @@ fn restart_equivalence_sharded_and_remote() {
         })
         .collect();
     let restarted =
-        ShardedRedisConnector::with_metadata_index_snapshots(restarted_fleet, &dir).unwrap();
+        RedisConnector::sharded_with_metadata_index_snapshots(restarted_fleet, &dir).unwrap();
     for shard in 0..shards {
         assert!(
             restarted.index_recovery(shard).unwrap().is_restored(),
@@ -1905,9 +1977,9 @@ fn restart_equivalence_redis_mi() {
     let replayed = kvstore::KvStore::replay(aof_kv_config(), &aof, sim.clone()).unwrap();
     let restarted = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
     assert!(
-        restarted.index_recovery().unwrap().is_restored(),
+        restarted.index_recovery(0).unwrap().is_restored(),
         "got {:?}",
-        restarted.index_recovery()
+        restarted.index_recovery(0)
     );
     assert_restart_equivalent(&original, &restarted, "redis-mi in-process");
     let remote = served(Arc::new(restarted));
@@ -1982,10 +2054,10 @@ fn restart_equivalence_disk_sharded_wal_and_snapshots() {
     )
     .unwrap();
     let original =
-        crate::ShardedDiskConnector::with_metadata_index_snapshots(fleet.clone(), &snaps).unwrap();
+        crate::DiskConnector::sharded_with_metadata_index_snapshots(fleet.clone(), &snaps).unwrap();
     restart_op_mix(&original);
     assert!(
-        original.write_index_snapshots().unwrap() > 0,
+        original.write_index_snapshot().unwrap() > 0,
         "snapshots persist without a checkpoint"
     );
     drop(fleet); // crash: WAL is the only durable mutation record
@@ -2012,7 +2084,7 @@ fn restart_equivalence_disk_sharded_wal_and_snapshots() {
     }
     assert!(replayed > 0, "the op mix must land on at least one shard");
     let restarted =
-        crate::ShardedDiskConnector::with_metadata_index_snapshots(refleet, &snaps).unwrap();
+        crate::DiskConnector::sharded_with_metadata_index_snapshots(refleet, &snaps).unwrap();
     for shard in 0..shards {
         assert!(
             restarted.index_recovery(shard).unwrap().is_restored(),

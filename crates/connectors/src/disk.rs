@@ -13,16 +13,15 @@
 //!
 //! * [`DiskConnector::new`] — scan-based predicate resolution.
 //! * [`DiskConnector::with_metadata_index`] — the headline `disk` variant.
-//! * [`ShardedDiskConnector::with_metadata_index`] — N stores (each its
-//!   own directory, WAL, buffer pool and per-shard index) behind the
-//!   hash-partitioned router (`disk-sharded`).
+//! * [`DiskConnector::sharded_with_metadata_index`] — N stores (each its
+//!   own directory, WAL, buffer pool and per-partition index) behind one
+//!   hash-partitioned engine (`disk-sharded`).
 
 use crate::Connector;
 use gdpr_core::compliance::{FeatureReport, FeatureSupport};
 use gdpr_core::connector::SpaceReport;
 use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::record::PersonalRecord;
-use gdpr_core::sharded::ShardedEngine;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire;
 use gdpr_core::ComplianceEngine;
@@ -214,12 +213,10 @@ impl RecordStore for DiskStore {
     }
 }
 
-/// GDPR connector over one [`PageStore`].
-pub type DiskConnector = Connector<ComplianceEngine<DiskStore>>;
-
-/// GDPR connector hash-partitioning records across N page stores, each in
-/// its own directory with its own WAL, buffer pool, and per-shard index.
-pub type ShardedDiskConnector = Connector<ShardedEngine<DiskStore>>;
+/// GDPR connector over one or more [`PageStore`]s; each store of a
+/// partitioned variant has its own directory, WAL, buffer pool, and
+/// per-partition index.
+pub type DiskConnector = Connector<DiskStore>;
 
 impl DiskConnector {
     /// Wrap an open page store, scan-based.
@@ -252,10 +249,35 @@ impl DiskConnector {
         })
     }
 
-    /// The underlying page store (for experiment harnesses and the
-    /// eviction/fault suites).
-    pub fn store(&self) -> &Arc<PageStore> {
-        self.engine.store().page_store()
+    /// Per-partition engine-maintained metadata indexes — the
+    /// `disk-sharded` variant.
+    pub fn sharded_with_metadata_index(stores: Vec<Arc<PageStore>>) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ComplianceEngine::sharded_with_metadata_index(shard_backends(stores))?
+                .named("disk-sharded"),
+        })
+    }
+
+    /// Snapshot-aware partitioned open: partition *i* recovers its index
+    /// from `dir/metaindex-shard-i.snap` when the image matches the
+    /// store's WAL generation and topology.
+    pub fn sharded_with_metadata_index_snapshots(
+        stores: Vec<Arc<PageStore>>,
+        dir: impl AsRef<std::path::Path>,
+    ) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ComplianceEngine::sharded_with_metadata_index_snapshots(
+                shard_backends(stores),
+                dir,
+            )?
+            .named("disk-sharded"),
+        })
+    }
+
+    /// The underlying page store of one partition (for experiment
+    /// harnesses and the eviction/fault suites).
+    pub fn store(&self, partition: usize) -> &Arc<PageStore> {
+        self.engine.store(partition).page_store()
     }
 }
 
@@ -266,37 +288,8 @@ fn shard_backends(stores: Vec<Arc<PageStore>>) -> Vec<DiskStore> {
         .collect()
 }
 
-impl ShardedDiskConnector {
-    /// Per-shard engine-maintained metadata indexes — the `disk-sharded`
-    /// variant.
-    pub fn with_metadata_index(stores: Vec<Arc<PageStore>>) -> GdprResult<Self> {
-        Ok(Connector {
-            engine: ShardedEngine::with_metadata_index(shard_backends(stores))?
-                .named("disk-sharded"),
-        })
-    }
-
-    /// Snapshot-aware sharded open: shard *i* recovers its index from
-    /// `dir/metaindex-shard-i.snap` when the image matches the shard's
-    /// WAL generation and topology.
-    pub fn with_metadata_index_snapshots(
-        stores: Vec<Arc<PageStore>>,
-        dir: impl AsRef<std::path::Path>,
-    ) -> GdprResult<Self> {
-        Ok(Connector {
-            engine: ShardedEngine::with_metadata_index_snapshots(shard_backends(stores), dir)?
-                .named("disk-sharded"),
-        })
-    }
-
-    /// The underlying page store of one shard.
-    pub fn store(&self, shard: usize) -> &Arc<PageStore> {
-        self.engine.shards()[shard].store().page_store()
-    }
-}
-
-/// `n` page stores under `dir/shard-i/`, sharing one clock instance (the
-/// sharded engine requires comparable timestamps fleet-wide).
+/// `n` page stores under `dir/shard-i/`, sharing one clock instance (a
+/// partitioned engine requires comparable timestamps across its stores).
 pub fn open_store_fleet(
     dir: impl AsRef<std::path::Path>,
     n: usize,

@@ -3,8 +3,8 @@
 //! The paper adds per-database client stubs to GDPRbench (§4.3: "~400 LoC
 //! for Redis and PostgreSQL clients"); in this reproduction the entire
 //! GDPR layer — authorization, record visibility, audit logging, and the
-//! one `GdprQuery` dispatch — lives in [`gdpr_core::ComplianceEngine`] (or
-//! its hash-partitioned router, [`gdpr_core::ShardedEngine`]), and each
+//! one `GdprQuery` dispatch — lives in [`gdpr_core::ComplianceEngine`],
+//! which hash-partitions records across one or more stores, and each
 //! database contributes only a narrow [`gdpr_core::RecordStore`] backend:
 //!
 //! * [`redis::RedisStore`] — records live as wire-format strings under
@@ -23,16 +23,17 @@
 //!   pool and a checksummed WAL, checkpointed on close, so the dataset no
 //!   longer has to fit in RAM.
 //!
-//! Every in-process variant is one [`Connector`] over an engine: a single
-//! generic wrapper forwards the whole [`gdpr_core::GdprConnector`] surface
-//! (batch execution included) to the engine, so behaviour is defined once
-//! and the conformance suite holds for every backend by construction. The
-//! per-backend names ([`RedisConnector`], [`ShardedRedisConnector`],
-//! [`PostgresConnector`], [`DiskConnector`], [`ShardedDiskConnector`]) are
-//! aliases carrying only their constructors and store accessors. Sharded
-//! aliases put N independent stores behind the router: point ops go to the
-//! owning shard, predicates fan out and merge deterministically, and one
-//! audit trail spans the fleet; shard count is semantically invisible.
+//! Every in-process variant is one [`Connector`] over one engine: a
+//! single generic wrapper forwards the whole [`gdpr_core::GdprConnector`]
+//! surface (batch execution included) to the engine, so behaviour is
+//! defined once and the conformance suite holds for every backend by
+//! construction. The per-backend names ([`RedisConnector`],
+//! [`PostgresConnector`], [`DiskConnector`]) are aliases carrying only
+//! their constructors and store accessors. The `sharded_*` constructors put
+//! N independent stores behind the same engine: point ops go to the owning
+//! partition, predicates fan out and merge deterministically, and one
+//! audit trail per tenant spans the partitions; partition count is
+//! semantically invisible, and one store is the unsharded case.
 //!
 //! [`remote::RemoteConnector`] is not a storage backend but a *network
 //! client*: a pool of [`remote::GdprClient`] connections speaking the
@@ -50,9 +51,9 @@ pub mod redis;
 pub mod registry;
 pub mod remote;
 
-pub use disk::{DiskConnector, DiskStore, ShardedDiskConnector};
+pub use disk::{DiskConnector, DiskStore};
 pub use postgres::{PostgresConnector, PostgresStore};
-pub use redis::{RedisConnector, RedisStore, ShardedRedisConnector};
+pub use redis::{RedisConnector, RedisStore};
 pub use remote::{GdprClient, RemoteConnector};
 
 use gdpr_core::audit::AuditTrail;
@@ -63,79 +64,61 @@ use gdpr_core::metaindex::MetadataIndex;
 use gdpr_core::query::GdprQuery;
 use gdpr_core::response::GdprResponse;
 use gdpr_core::role::Session;
-use gdpr_core::sharded::ShardedEngine;
 use gdpr_core::store::RecordStore;
 use gdpr_core::telemetry::OpTelemetrySnapshot;
 use gdpr_core::tenant::TenantId;
 use gdpr_core::{ComplianceEngine, GdprConnector, IndexRecovery};
 use std::sync::Arc;
 
-/// A GDPR connector over one engine — a [`ComplianceEngine`] or a
-/// [`ShardedEngine`]. The wrapper exists so each backend can carry its
-/// own constructors and store accessors as inherent methods (Rust's
-/// orphan rule forbids those on the engine types from this crate).
-pub struct Connector<E> {
-    engine: E,
+/// A GDPR connector over one [`ComplianceEngine`]. The wrapper exists so
+/// each backend can carry its own constructors and store accessors as
+/// inherent methods (Rust's orphan rule forbids those on the engine type
+/// from this crate).
+pub struct Connector<S: RecordStore> {
+    engine: ComplianceEngine<S>,
 }
 
-impl<E> Connector<E> {
-    /// The engine behind the connector (shard inspection, placement
-    /// checks, index snapshots).
-    pub fn engine(&self) -> &E {
+impl<S: RecordStore + 'static> Connector<S> {
+    /// The engine behind the connector (placement checks, rebalancing,
+    /// graceful close).
+    pub fn engine(&self) -> &ComplianceEngine<S> {
         &self.engine
     }
-}
 
-impl<S: RecordStore> Connector<ComplianceEngine<S>> {
-    /// The audit trail.
+    /// The default tenant's audit trail.
     pub fn audit(&self) -> &AuditTrail {
         self.engine.audit()
     }
 
-    /// The engine's metadata index (present on the indexed variants).
+    /// The default tenant's metadata index over the first partition — the
+    /// whole index of an unsharded variant (present on the indexed
+    /// variants).
     pub fn metadata_index(&self) -> Option<&Arc<MetadataIndex>> {
         self.engine.metadata_index()
     }
 
-    /// How the index came up (snapshot-aware variants only).
-    pub fn index_recovery(&self) -> Option<&IndexRecovery> {
-        self.engine.index_recovery()
-    }
-
-    /// Persist the index snapshot now (snapshot-aware variants only).
-    pub fn write_index_snapshot(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshot()
-    }
-}
-
-impl<S: RecordStore + 'static> Connector<ShardedEngine<S>> {
-    /// The unified audit trail.
-    pub fn audit(&self) -> &AuditTrail {
-        self.engine.audit()
+    /// The default tenant's metadata index over one partition.
+    pub fn metadata_index_at(&self, partition: usize) -> Option<&Arc<MetadataIndex>> {
+        self.engine.metadata_index_at(partition)
     }
 
     pub fn shard_count(&self) -> usize {
         self.engine.shard_count()
     }
 
-    /// The metadata index of one shard (present on the indexed variants).
-    pub fn metadata_index(&self, shard: usize) -> Option<&Arc<MetadataIndex>> {
-        self.engine.shards()[shard].metadata_index()
+    /// How one partition's index came up (snapshot-aware variants only).
+    pub fn index_recovery(&self, partition: usize) -> Option<&IndexRecovery> {
+        self.engine.index_recovery(partition)
     }
 
-    /// How one shard's index came up (snapshot-aware variants only).
-    pub fn index_recovery(&self, shard: usize) -> Option<&IndexRecovery> {
-        self.engine.shards()[shard].index_recovery()
-    }
-
-    /// Persist every shard's index snapshot now (snapshot-aware variants
-    /// only). Returns total entries written.
-    pub fn write_index_snapshots(&self) -> GdprResult<usize> {
-        self.engine.write_index_snapshots()
+    /// Persist every partition's index snapshot now (snapshot-aware
+    /// variants only). Returns total entries written.
+    pub fn write_index_snapshot(&self) -> GdprResult<usize> {
+        self.engine.write_index_snapshot()
     }
 }
 
-impl<E: GdprConnector> GdprConnector for Connector<E> {
+impl<S: RecordStore + 'static> GdprConnector for Connector<S> {
     fn execute(&self, session: &Session, query: &GdprQuery) -> GdprResult<GdprResponse> {
         self.engine.execute(session, query)
     }
@@ -161,7 +144,7 @@ impl<E: GdprConnector> GdprConnector for Connector<E> {
     }
 
     fn close(&self) -> GdprResult<()> {
-        self.engine.close()
+        GdprConnector::close(&self.engine)
     }
 
     fn op_telemetry(&self) -> Option<OpTelemetrySnapshot> {

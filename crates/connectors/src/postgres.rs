@@ -272,6 +272,19 @@ impl RecordStore for PostgresStore {
         ))
     }
 
+    /// Past-due keys by one `expiry <= now` select, reaping nothing — the
+    /// multi-tenant purge path. The default derives the set from
+    /// `deadline_ms`, which this store does not track per key, and would
+    /// find nothing.
+    fn expired_keys(&self) -> GdprResult<Vec<String>> {
+        let due = Predicate::Le("expiry".into(), Datum::Timestamp(self.now_ms()));
+        Ok(self
+            .select_records(due)?
+            .into_iter()
+            .map(|record| record.key)
+            .collect())
+    }
+
     /// The database's WAL statement position — advanced by every write
     /// and reproduced exactly by WAL recovery, so an engine-side index
     /// snapshot stamped with it is trustworthy after a crash.
@@ -347,7 +360,7 @@ impl RecordStore for PostgresStore {
 
 /// GDPR connector over [`relstore::Database`]: the shared engine driving a
 /// [`PostgresStore`] backend.
-pub type PostgresConnector = Connector<ComplianceEngine<PostgresStore>>;
+pub type PostgresConnector = Connector<PostgresStore>;
 
 impl PostgresConnector {
     /// Create the connector and its `personal_data` table over an open
@@ -413,7 +426,7 @@ impl PostgresConnector {
 
     /// The underlying database (for harnesses and daemons).
     pub fn database(&self) -> &Arc<Database> {
-        &self.engine.store().db
+        &self.engine.store(0).db
     }
 
     /// A TTL sweep daemon targeting the personal-data table (§5.2's
@@ -421,7 +434,7 @@ impl PostgresConnector {
     /// `sweep_once()` from simulated-clock harnesses.
     pub fn ttl_daemon(&self) -> TtlDaemon {
         TtlDaemon::new(
-            Arc::clone(&self.engine.store().db),
+            Arc::clone(&self.engine.store(0).db),
             vec![SweepTarget {
                 table: TABLE.to_string(),
                 expiry_column: "expiry".to_string(),

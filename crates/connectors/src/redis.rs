@@ -18,15 +18,15 @@
 //!   active cycles) invalidate index entries via
 //!   [`kvstore::KvStore::set_expiry_listener`], so the index never
 //!   advertises reaped personal data.
-//! * [`ShardedRedisConnector::new`] / [`ShardedRedisConnector::with_metadata_index`]
-//!   — N independent stores behind a [`gdpr_core::ShardedEngine`] router
+//! * [`RedisConnector::sharded`] / [`RedisConnector::sharded_with_metadata_index`]
+//!   — N independent stores behind one partitioned engine
 //!   (`redis-sharded-scan` / `redis-sharded`). The single store serializes
 //!   every operation through one store-wide lock (the real Redis is
 //!   single-threaded by design); sharding gives each key range its own
 //!   store, lock, index and expiry listener, so point operations on
-//!   disjoint keys proceed in parallel while the router keeps every
-//!   compliance semantic exactly as the unsharded engine defines it.
-//!   Store-side TTL reaps invalidate only the owning shard's index.
+//!   disjoint keys proceed in parallel while every compliance semantic
+//!   stays exactly as one store defines it. Store-side TTL reaps
+//!   invalidate only the owning partition's indexes.
 
 use crate::Connector;
 use bytes::Bytes;
@@ -35,7 +35,6 @@ use gdpr_core::connector::SpaceReport;
 use gdpr_core::engine::ComplianceEngine;
 use gdpr_core::error::{GdprError, GdprResult};
 use gdpr_core::record::PersonalRecord;
-use gdpr_core::sharded::ShardedEngine;
 use gdpr_core::store::{ExpiryListener, RecordStore};
 use gdpr_core::wire;
 use kvstore::expire::ExpirationMode;
@@ -247,6 +246,19 @@ impl RecordStore for RedisStore {
             .collect())
     }
 
+    /// Key-only SCAN walk: a GET would lazily reap expired records, so the
+    /// default scan-derived key set must not be used here.
+    fn keys(&self) -> GdprResult<Vec<String>> {
+        Ok(self
+            .scan_keys()?
+            .iter()
+            .filter_map(|storage_key| {
+                let text = std::str::from_utf8(storage_key.as_ref()).ok()?;
+                text.strip_prefix(KEY_PREFIX).map(str::to_string)
+            })
+            .collect())
+    }
+
     fn deadline_ms(&self, key: &str) -> Option<u64> {
         self.store
             .expiry_at(Self::storage_key(key).as_ref())
@@ -330,11 +342,8 @@ impl RecordStore for RedisStore {
     }
 }
 
-/// GDPR connector over one [`kvstore::KvStore`].
-pub type RedisConnector = Connector<ComplianceEngine<RedisStore>>;
-
-/// GDPR connector hash-partitioning records across N key-value stores.
-pub type ShardedRedisConnector = Connector<ShardedEngine<RedisStore>>;
+/// GDPR connector over one or more [`kvstore::KvStore`]s.
+pub type RedisConnector = Connector<RedisStore>;
 
 impl RedisConnector {
     /// Wrap an open store, paper-faithful (no metadata index: every
@@ -364,7 +373,7 @@ impl RedisConnector {
     /// the snapshot image at `path` — O(index) when the image's
     /// generation stamp matches the store's AOF position, the usual O(n)
     /// scan-backfill (loudly) otherwise — and a graceful close /
-    /// [`Self::write_index_snapshot`] persist it there again.
+    /// [`Connector::write_index_snapshot`] persist it there again.
     pub fn with_metadata_index_snapshot(
         store: Arc<KvStore>,
         path: impl Into<std::path::PathBuf>,
@@ -378,6 +387,56 @@ impl RedisConnector {
         })
     }
 
+    /// Wrap open stores, one per partition, scan-based (paper-faithful
+    /// within each partition: every metadata query scans its keyspace).
+    pub fn sharded(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ComplianceEngine::sharded(shard_backends(stores))?.named("redis-sharded-scan"),
+        })
+    }
+
+    /// Wrap open stores with per-partition engine-maintained metadata
+    /// indexes — the headline `redis-sharded` variant.
+    pub fn sharded_with_metadata_index(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ComplianceEngine::sharded_with_metadata_index(shard_backends(stores))?
+                .named("redis-sharded"),
+        })
+    }
+
+    /// The snapshot-aware partitioned open path: as
+    /// [`Self::sharded_with_metadata_index`], but partition *i* recovers
+    /// its index from `dir/metaindex-shard-i.snap` when that image matches
+    /// the store's AOF position and was written as partition *i* of
+    /// exactly this count — a reopen under a different count rebuilds
+    /// every index (the header records the topology), consistent with
+    /// `verify_placement` flagging the store side.
+    pub fn sharded_with_metadata_index_snapshots(
+        stores: Vec<Arc<KvStore>>,
+        dir: impl AsRef<std::path::Path>,
+    ) -> GdprResult<Self> {
+        Ok(Connector {
+            engine: ComplianceEngine::sharded_with_metadata_index_snapshots(
+                shard_backends(stores),
+                dir,
+            )?
+            .named("redis-sharded"),
+        })
+    }
+
+    /// Open `shards` fresh default in-memory stores on one wall clock and
+    /// wrap them (indexed, `redis-sharded`).
+    pub fn open_sharded(shards: usize) -> GdprResult<Self> {
+        let clock = clock::wall();
+        let stores = (0..shards.max(1))
+            .map(|_| {
+                KvStore::open_with_clock(KvConfig::default(), clock.clone())
+                    .map_err(RedisStore::store_err)
+            })
+            .collect::<GdprResult<Vec<_>>>()?;
+        Self::sharded_with_metadata_index(stores)
+    }
+
     /// Open a fully GDPR-compliant in-memory store (strict TTL, read
     /// logging, encryption) and wrap it.
     pub fn open_compliant() -> GdprResult<Self> {
@@ -386,14 +445,14 @@ impl RedisConnector {
         Ok(Self::new(store))
     }
 
-    /// The underlying store (for experiment harnesses).
-    pub fn store(&self) -> &Arc<KvStore> {
-        &self.engine.store().store
+    /// The underlying store of one partition (for experiment harnesses).
+    pub fn store(&self, partition: usize) -> &Arc<KvStore> {
+        &self.engine.store(partition).store
     }
 }
 
-/// One backend per shard store. Every shard reports the plain `redis`
-/// name; the router carries the variant name.
+/// One backend per partition store. Every store reports the plain
+/// `redis` name; the engine carries the variant name.
 fn shard_backends(stores: Vec<Arc<KvStore>>) -> Vec<RedisStore> {
     stores
         .into_iter()
@@ -402,58 +461,4 @@ fn shard_backends(stores: Vec<Arc<KvStore>>) -> Vec<RedisStore> {
             variant_name: "redis",
         })
         .collect()
-}
-
-impl ShardedRedisConnector {
-    /// Wrap open stores, one per shard, scan-based (paper-faithful within
-    /// each shard: every metadata query scans the shard's keyspace).
-    pub fn new(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
-        Ok(Connector {
-            engine: ShardedEngine::new(shard_backends(stores))?.named("redis-sharded-scan"),
-        })
-    }
-
-    /// Wrap open stores with a per-shard engine-maintained metadata index —
-    /// the headline `redis-sharded` variant.
-    pub fn with_metadata_index(stores: Vec<Arc<KvStore>>) -> GdprResult<Self> {
-        Ok(Connector {
-            engine: ShardedEngine::with_metadata_index(shard_backends(stores))?
-                .named("redis-sharded"),
-        })
-    }
-
-    /// The snapshot-aware sharded open path: as
-    /// [`Self::with_metadata_index`], but shard *i* recovers its index
-    /// from `dir/metaindex-shard-i.snap` when that image matches the
-    /// shard store's AOF position and was written as shard *i* of exactly
-    /// this shard count — a reopen under a different count rebuilds every
-    /// index (the header records the topology), consistent with
-    /// `verify_placement` flagging the store side.
-    pub fn with_metadata_index_snapshots(
-        stores: Vec<Arc<KvStore>>,
-        dir: impl AsRef<std::path::Path>,
-    ) -> GdprResult<Self> {
-        Ok(Connector {
-            engine: ShardedEngine::with_metadata_index_snapshots(shard_backends(stores), dir)?
-                .named("redis-sharded"),
-        })
-    }
-
-    /// Open `shards` fresh default in-memory stores on one wall clock and
-    /// wrap them (indexed).
-    pub fn open(shards: usize) -> GdprResult<Self> {
-        let clock = clock::wall();
-        let stores = (0..shards.max(1))
-            .map(|_| {
-                KvStore::open_with_clock(KvConfig::default(), clock.clone())
-                    .map_err(RedisStore::store_err)
-            })
-            .collect::<GdprResult<Vec<_>>>()?;
-        Self::with_metadata_index(stores)
-    }
-
-    /// The underlying store of one shard.
-    pub fn store(&self, shard: usize) -> &Arc<KvStore> {
-        &self.engine.shards()[shard].store().store
-    }
 }

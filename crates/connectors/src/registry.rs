@@ -15,9 +15,7 @@
 //! with a deliberately small buffer pool so eviction is exercised even by
 //! modest batteries.
 
-use crate::{
-    DiskConnector, PostgresConnector, RedisConnector, ShardedDiskConnector, ShardedRedisConnector,
-};
+use crate::{DiskConnector, PostgresConnector, RedisConnector};
 use gdpr_core::EngineHandle;
 use pagestore::{PageStore, PageStoreConfig};
 use std::sync::Arc;
@@ -105,8 +103,9 @@ fn open_kv() -> Arc<kvstore::KvStore> {
     kvstore::KvStore::open(kvstore::KvConfig::default()).unwrap()
 }
 
-/// `n` stores sharing one clock instance — the sharded engine requires a
-/// single clock so timestamps and TTL deadlines are comparable fleet-wide.
+/// `n` stores sharing one clock instance — a partitioned engine requires a
+/// single clock so timestamps and TTL deadlines are comparable across its
+/// stores.
 fn open_kv_fleet(n: usize) -> Vec<Arc<kvstore::KvStore>> {
     let clock = clock::wall();
     (0..n)
@@ -147,11 +146,11 @@ fn build_redis_mi() -> EngineHandle {
 }
 
 fn build_redis_sharded() -> EngineHandle {
-    Arc::new(ShardedRedisConnector::with_metadata_index(open_kv_fleet(shards())).unwrap())
+    Arc::new(RedisConnector::sharded_with_metadata_index(open_kv_fleet(shards())).unwrap())
 }
 
 fn build_redis_sharded_scan() -> EngineHandle {
-    Arc::new(ShardedRedisConnector::new(open_kv_fleet(shards())).unwrap())
+    Arc::new(RedisConnector::sharded(open_kv_fleet(shards())).unwrap())
 }
 
 fn build_postgres() -> EngineHandle {
@@ -167,7 +166,7 @@ fn build_disk() -> EngineHandle {
 }
 
 fn build_disk_sharded() -> EngineHandle {
-    Arc::new(ShardedDiskConnector::with_metadata_index(open_disk_fleet(shards())).unwrap())
+    Arc::new(DiskConnector::sharded_with_metadata_index(open_disk_fleet(shards())).unwrap())
 }
 
 #[cfg(test)]

@@ -39,10 +39,12 @@
 //! one per record. See the `connectors` crate for the Redis- and
 //! PostgreSQL-shaped backends.
 //!
-//! For scale-out, [`sharded::ShardedEngine`] hash-partitions keys across N
-//! inner engines: point ops route to the owning shard, metadata predicates
-//! fan out with deterministic merging, and one unified audit trail spans
-//! the fleet — shard count is a performance knob, never a semantic one.
+//! For scale-out, the same engine hash-partitions keys across N stores
+//! ([`engine::ComplianceEngine::sharded`]; one store is the unsharded
+//! case): point ops route to the owning partition, metadata predicates
+//! fan out with deterministic merging, and one audit trail per tenant
+//! spans every partition — partition count is a performance knob, never a
+//! semantic one.
 
 pub mod acl;
 pub mod articles;
@@ -72,7 +74,7 @@ pub use query::{GdprQuery, MetadataField, MetadataUpdate};
 pub use record::{Metadata, PersonalRecord};
 pub use response::GdprResponse;
 pub use role::{Role, Session};
-pub use sharded::{shard_count_from_env, shard_of, ShardedEngine};
+pub use sharded::{shard_count_from_env, shard_of};
 pub use snapshot::{IndexRecovery, SnapshotInvalid, SnapshotStamp};
 pub use store::{RecordPredicate, RecordStore};
 pub use telemetry::{

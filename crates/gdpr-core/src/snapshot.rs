@@ -72,12 +72,12 @@
 //! smaller one means the store lost a tail the index still describes
 //! (torn AOF). Both are staleness; both rebuild.
 //!
-//! The **shard topology** header makes a reopened
-//! [`crate::sharded::ShardedEngine`] reject images written under a
-//! different shard count (the key→shard map changed, so per-shard images
-//! describe the wrong key population), consistent with the router's
-//! misroute detection — the shards rebuild, and `rebalance()` handles the
-//! store side.
+//! The **shard topology** header makes a reopened partitioned
+//! [`crate::engine::ComplianceEngine`] reject images written under a
+//! different partition count (the key→partition map changed, so
+//! per-partition images describe the wrong key population), consistent
+//! with the router's misroute detection — the partitions rebuild, and
+//! `rebalance()` handles the store side.
 //!
 //! Writes are atomic: the image goes to `<path>.tmp`, is fsynced, and is
 //! renamed over the target (then the directory is fsynced), so a crash

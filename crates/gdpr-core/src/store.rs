@@ -133,6 +133,16 @@ pub trait RecordStore: Send + Sync {
             .collect())
     }
 
+    /// Every stored record's key — what the engine's open-time tenant
+    /// discovery needs of a store. The default derives the set from
+    /// [`Self::scan`]. Backends whose reads lazily reap (the key-value
+    /// store) must override with a key-only walk, or opening an engine
+    /// would destroy expired records before DELETE-RECORD-BY-TTL can count
+    /// them.
+    fn keys(&self) -> GdprResult<Vec<String>> {
+        Ok(self.scan()?.into_iter().map(|record| record.key).collect())
+    }
+
     /// The store's own absolute expiry deadline for `key`, in milliseconds
     /// on [`Self::clock`], when it tracks one natively. `None` means
     /// unknown — callers fall back to deriving a deadline from the

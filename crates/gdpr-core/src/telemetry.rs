@@ -314,9 +314,8 @@ struct OpSlot {
 }
 
 /// Per-opcode service-time telemetry: one counter pair and one histogram
-/// per [`GdprQuery`] variant, recorded by whichever engine is the entry
-/// point (the unsharded [`crate::ComplianceEngine`] or the
-/// [`crate::ShardedEngine`] router — never both for one op).
+/// per [`GdprQuery`] variant, recorded once per op by the
+/// [`crate::ComplianceEngine`] that executed it, whatever its fan-out.
 ///
 /// Also hosts the slow-op log: any op whose service time exceeds the
 /// configured threshold emits one rate-limited stderr line (at most one

@@ -1133,8 +1133,7 @@ mod tests {
                 clock: clock.clone(),
             })
             .collect();
-        let engine: EngineHandle =
-            Arc::new(gdpr_core::sharded::ShardedEngine::new(stores).unwrap());
+        let engine: EngineHandle = Arc::new(ComplianceEngine::sharded(stores).unwrap());
         GdprServer::bind(
             engine,
             "127.0.0.1:0",

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // TTL-driven erasure: advance past ph-002's 60s TTL; one strict
     // expiration cycle reaps it.
     sim.advance(Duration::from_secs(61));
-    let reaped = redis.store().run_expiration_cycle().reaped;
+    let reaped = redis.store(0).run_expiration_cycle().reaped;
     println!("[redis] after 61s, strict expiration cycle reaped {reaped} record(s)");
 
     // The regulator confirms both are gone and morpheus' record is not.

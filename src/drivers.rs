@@ -110,18 +110,35 @@ fn open_disk_fleet(
     connectors::disk::open_store_fleet(&dir, n, config, clock::wall()).map_err(|e| e.to_string())
 }
 
-/// Print how each snapshot-recovered index came up — operators need to
-/// see a fallback rebuild (it is the O(n) path the snapshot exists to
-/// avoid).
-fn report_recovery(name: &str, shard: usize, recovery: Option<&gdpr_core::IndexRecovery>) {
-    if let Some(recovery) = recovery {
-        println!("{name}: shard {shard}: {recovery}");
+/// Print how each snapshot-recovered partition index came up — operators
+/// need to see a fallback rebuild (it is the O(n) path the snapshot exists
+/// to avoid).
+fn report_recovery<S: gdpr_core::RecordStore + 'static>(
+    name: &str,
+    conn: &connectors::Connector<S>,
+) {
+    for shard in 0..conn.shard_count() {
+        if let Some(recovery) = conn.index_recovery(shard) {
+            println!("{name}: shard {shard}: {recovery}");
+        }
     }
+}
+
+/// `--index-snapshot-dir`, created if missing.
+fn snapshot_dir(spec: &ConnectorSpec) -> Result<Option<std::path::PathBuf>, String> {
+    let Some(dir) = &spec.snapshot_dir else {
+        return Ok(None);
+    };
+    std::fs::create_dir_all(dir).map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
+    Ok(Some(std::path::PathBuf::from(dir)))
 }
 
 /// Build a connector for `spec`. The returned handle is what `gdpr-serve`
 /// serves and what the workload runner drives — in-process and remote
-/// variants are interchangeable behind it.
+/// variants are interchangeable behind it. Every in-process arm opens its
+/// stores (one, or `--shards` for the sharded variants), builds the
+/// engine over them, and reports each partition's index recovery; the
+/// unsharded variants keep their snapshot at `<dir>/metaindex.snap`.
 pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
     if spec.snapshot_dir.is_some()
         && !matches!(
@@ -141,58 +158,39 @@ pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
             spec.db
         ));
     }
+    let partitions = if spec.db.contains("-sharded") {
+        spec.shards.max(1)
+    } else {
+        1
+    };
     let conn: Arc<dyn GdprConnector> = match spec.db.as_str() {
-        "redis-sharded" | "redis-sharded-scan" => {
+        db @ ("redis" | "redis-mi" | "redis-sharded" | "redis-sharded-scan") => {
+            use connectors::RedisConnector;
             let clock = clock::wall();
-            let stores = (0..spec.shards.max(1))
+            let mut stores = (0..partitions)
                 .map(|i| open_kv_shard(spec, i, clock.clone()))
                 .collect::<Result<Vec<_>, String>>()?;
-            let conn = if spec.db == "redis-sharded-scan" {
-                connectors::ShardedRedisConnector::new(stores)
-            } else if let Some(dir) = &spec.snapshot_dir {
-                let conn =
-                    connectors::ShardedRedisConnector::with_metadata_index_snapshots(stores, dir)
-                        .map_err(|e| e.to_string())?;
-                for i in 0..conn.shard_count() {
-                    report_recovery("redis-sharded", i, conn.index_recovery(i));
+            if spec.compliant {
+                for store in &stores {
+                    store.start_expiration_driver();
                 }
-                Ok(conn)
-            } else {
-                connectors::ShardedRedisConnector::with_metadata_index(stores)
+            }
+            let conn = match (db, snapshot_dir(spec)?) {
+                ("redis", _) => Ok(RedisConnector::new(stores.remove(0))),
+                ("redis-sharded-scan", _) => RedisConnector::sharded(stores),
+                ("redis-mi", None) => RedisConnector::with_metadata_index(stores.remove(0)),
+                ("redis-mi", Some(dir)) => RedisConnector::with_metadata_index_snapshot(
+                    stores.remove(0),
+                    dir.join("metaindex.snap"),
+                ),
+                (_, None) => RedisConnector::sharded_with_metadata_index(stores),
+                (_, Some(dir)) => {
+                    RedisConnector::sharded_with_metadata_index_snapshots(stores, dir)
+                }
             }
             .map_err(|e| e.to_string())?;
-            if spec.compliant {
-                for i in 0..conn.shard_count() {
-                    conn.store(i).start_expiration_driver();
-                }
-            }
+            report_recovery(db, &conn);
             Arc::new(conn)
-        }
-        "redis" | "redis-mi" => {
-            let store = open_kv_shard(spec, 0, clock::wall())?;
-            if spec.compliant {
-                store.start_expiration_driver();
-            }
-            if spec.db == "redis-mi" {
-                let conn = if let Some(dir) = &spec.snapshot_dir {
-                    let dir = std::path::Path::new(dir);
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
-                    let conn = connectors::RedisConnector::with_metadata_index_snapshot(
-                        store,
-                        dir.join("metaindex.snap"),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    report_recovery("redis-mi", 0, conn.index_recovery());
-                    conn
-                } else {
-                    connectors::RedisConnector::with_metadata_index(store)
-                        .map_err(|e| e.to_string())?
-                };
-                Arc::new(conn)
-            } else {
-                Arc::new(connectors::RedisConnector::new(store))
-            }
         }
         "postgres" | "postgres-mi" => {
             let config = if spec.compliant {
@@ -209,44 +207,23 @@ pub fn build_connector(spec: &ConnectorSpec) -> Result<EngineHandle, String> {
             .map_err(|e| e.to_string())?;
             Arc::new(connector)
         }
-        "disk" => {
-            let store = open_disk_fleet(spec, 1)?.pop().expect("one store");
-            println!("disk: shard 0: {}", store.recovery());
-            let conn = if let Some(dir) = &spec.snapshot_dir {
-                let dir = std::path::Path::new(dir);
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
-                let conn = connectors::DiskConnector::with_metadata_index_snapshot(
-                    store,
-                    dir.join("metaindex.snap"),
-                )
-                .map_err(|e| e.to_string())?;
-                report_recovery("disk", 0, conn.index_recovery());
-                conn
-            } else {
-                connectors::DiskConnector::with_metadata_index(store).map_err(|e| e.to_string())?
-            };
-            Arc::new(conn)
-        }
-        "disk-sharded" => {
-            let stores = open_disk_fleet(spec, spec.shards.max(1))?;
+        db @ ("disk" | "disk-sharded") => {
+            use connectors::DiskConnector;
+            let mut stores = open_disk_fleet(spec, partitions)?;
             for (i, store) in stores.iter().enumerate() {
-                println!("disk-sharded: shard {i}: {}", store.recovery());
+                println!("{db}: shard {i}: {}", store.recovery());
             }
-            let conn = if let Some(dir) = &spec.snapshot_dir {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("--index-snapshot-dir {dir:?}: {e}"))?;
-                let conn =
-                    connectors::ShardedDiskConnector::with_metadata_index_snapshots(stores, dir)
-                        .map_err(|e| e.to_string())?;
-                for i in 0..conn.shard_count() {
-                    report_recovery("disk-sharded", i, conn.index_recovery(i));
-                }
-                conn
-            } else {
-                connectors::ShardedDiskConnector::with_metadata_index(stores)
-                    .map_err(|e| e.to_string())?
-            };
+            let conn = match (db, snapshot_dir(spec)?) {
+                ("disk", None) => DiskConnector::with_metadata_index(stores.remove(0)),
+                ("disk", Some(dir)) => DiskConnector::with_metadata_index_snapshot(
+                    stores.remove(0),
+                    dir.join("metaindex.snap"),
+                ),
+                (_, None) => DiskConnector::sharded_with_metadata_index(stores),
+                (_, Some(dir)) => DiskConnector::sharded_with_metadata_index_snapshots(stores, dir),
+            }
+            .map_err(|e| e.to_string())?;
+            report_recovery(db, &conn);
             Arc::new(conn)
         }
         "remote" => {

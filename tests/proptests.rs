@@ -1007,9 +1007,7 @@ mod engine_index {
 mod sharded_invariance {
     use super::gdpr_gen::*;
     use super::*;
-    use gdprbench_repro::connectors::{
-        registry, DiskConnector, RedisConnector, ShardedDiskConnector, ShardedRedisConnector,
-    };
+    use gdprbench_repro::connectors::{registry, DiskConnector, RedisConnector};
     use gdprbench_repro::gdpr_core::{
         GdprConnector, GdprError, GdprQuery, GdprResponse, MetadataField, MetadataUpdate,
         RecordStore, Session,
@@ -1029,7 +1027,7 @@ mod sharded_invariance {
     }
 
     /// A labelled fleet: the unsharded engine (scan and indexed variants),
-    /// an indexed `ShardedEngine` per shard count, the disk-native
+    /// an indexed sharded engine per shard count, the disk-native
     /// pagestore engine (unsharded plus a sharded fleet per shard count,
     /// on a pool far smaller than the corpus so eviction rides along), and
     /// a sharded engine served over loopback TCP — all on one clock. The
@@ -1065,14 +1063,14 @@ mod sharded_invariance {
             conns.push((
                 format!("sharded-{n}"),
                 Box::new(
-                    ShardedRedisConnector::with_metadata_index((0..n).map(|_| open()).collect())
+                    RedisConnector::sharded_with_metadata_index((0..n).map(|_| open()).collect())
                         .unwrap(),
                 ),
             ));
             conns.push((
                 format!("disk-sharded-{n}"),
                 Box::new(
-                    ShardedDiskConnector::with_metadata_index(
+                    DiskConnector::sharded_with_metadata_index(
                         (0..n).map(|_| open_disk("prop-disk-sharded")).collect(),
                     )
                     .unwrap(),
@@ -1080,7 +1078,7 @@ mod sharded_invariance {
             ));
         }
         let served: gdprbench_repro::gdpr_core::EngineHandle = std::sync::Arc::new(
-            ShardedRedisConnector::with_metadata_index((0..2).map(|_| open()).collect()).unwrap(),
+            RedisConnector::sharded_with_metadata_index((0..2).map(|_| open()).collect()).unwrap(),
         );
         conns.push((
             "remote-sharded-2".to_string(),
@@ -1100,14 +1098,14 @@ mod sharded_invariance {
         conns
     }
 
-    /// Responses compared modulo result-set order (the unsharded engine
-    /// returns store order; the router returns key order).
+    /// Responses compared modulo result-set order (one partition returns
+    /// store order; a merge across partitions returns key order).
     fn normalize(result: Result<GdprResponse, GdprError>) -> Result<GdprResponse, GdprError> {
         result.map(sorted)
     }
 
     /// For seeded op sequences over every GdprQuery variant, the unsharded
-    /// engine and `ShardedEngine{N=1,2,8}` produce identical responses at
+    /// engine and the sharded engine at N=1,2,8 produce identical responses at
     /// every step, identical predicate result sets at the end, and
     /// identical final store states.
     #[test]
@@ -1263,10 +1261,10 @@ mod sharded_invariance {
         run_cases(12, |rng| {
             let sim = clock::sim();
             let open = || KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
-            let sharded: Vec<ShardedRedisConnector> = shard_counts()
+            let sharded: Vec<RedisConnector> = shard_counts()
                 .into_iter()
                 .map(|n| {
-                    ShardedRedisConnector::with_metadata_index((0..n).map(|_| open()).collect())
+                    RedisConnector::sharded_with_metadata_index((0..n).map(|_| open()).collect())
                         .unwrap()
                 })
                 .collect();
@@ -1299,9 +1297,9 @@ mod sharded_invariance {
             }
             sim.advance(Duration::from_secs(rng.gen_range(0u64..130)));
 
-            let state_of = |conn: &ShardedRedisConnector| -> Vec<PersonalRecord> {
+            let state_of = |conn: &RedisConnector| -> Vec<PersonalRecord> {
                 let mut records: Vec<PersonalRecord> = (0..conn.shard_count())
-                    .flat_map(|i| conn.engine().shards()[i].store().scan().unwrap())
+                    .flat_map(|i| conn.engine().store(i).scan().unwrap())
                     .collect();
                 records.sort_by(|a, b| a.key.cmp(&b.key));
                 records
@@ -1324,7 +1322,7 @@ mod sharded_invariance {
             // count.
             for conn in &sharded {
                 for shard in 0..conn.shard_count() {
-                    let index = conn.metadata_index(shard).unwrap();
+                    let index = conn.metadata_index_at(shard).unwrap();
                     for pred in super::engine_index::all_predicate_shapes() {
                         assert!(
                             index.keys_for(&pred).is_some(),
@@ -1537,7 +1535,7 @@ mod store_equivalence {
             // since open lives only in the WAL) and recover: the reopened
             // store must replay to the same logical state and agree with
             // the kvstore on the whole read surface again.
-            let generation = disk.store().generation();
+            let generation = disk.store(0).generation();
             drop(disk);
             let store = PageStore::open(&dir, disk_config(), sim.clone()).unwrap();
             assert_eq!(
@@ -1558,7 +1556,7 @@ mod store_equivalence {
 mod tenant_isolation {
     use super::gdpr_gen::*;
     use super::*;
-    use gdprbench_repro::connectors::ShardedRedisConnector;
+    use gdprbench_repro::connectors::RedisConnector;
     use gdprbench_repro::gdpr_core::tenant::TenantId;
     use gdprbench_repro::gdpr_core::{
         GdprConnector, GdprQuery, MetadataField, MetadataUpdate, Session,
@@ -1580,7 +1578,7 @@ mod tenant_isolation {
                 let sim = clock::sim();
                 let open = || KvStore::open_with_clock(KvConfig::default(), sim.clone()).unwrap();
                 let build = || {
-                    ShardedRedisConnector::with_metadata_index(
+                    RedisConnector::sharded_with_metadata_index(
                         (0..shards).map(|_| open()).collect(),
                     )
                     .unwrap()
@@ -1590,8 +1588,7 @@ mod tenant_isolation {
                     .map(|t| TenantId::new(*t).unwrap())
                     .collect();
                 let combined = build();
-                let solos: Vec<ShardedRedisConnector> =
-                    (0..tenants.len()).map(|_| build()).collect();
+                let solos: Vec<RedisConnector> = (0..tenants.len()).map(|_| build()).collect();
 
                 // Mirror one tenant's op into the combined engine (tenant
                 // on the session) and that tenant's solo replica (default

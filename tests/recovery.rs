@@ -3,7 +3,7 @@
 //! crash would be an Article 17 violation) and must never leak plaintext
 //! personal data on disk when encryption at rest is on (Article 32).
 
-use gdprbench_repro::connectors::{PostgresConnector, RedisConnector, ShardedRedisConnector};
+use gdprbench_repro::connectors::{PostgresConnector, RedisConnector};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{GdprConnector, GdprError, GdprQuery, GdprResponse, Session};
 use gdprbench_repro::kvstore::{config::AofStorage, KvConfig, KvStore};
@@ -100,7 +100,7 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
     let stores: Vec<_> = (0..2)
         .map(|_| KvStore::open_with_clock(config.clone(), clk.clone()).unwrap())
         .collect();
-    let conn = ShardedRedisConnector::with_metadata_index(stores.clone()).unwrap();
+    let conn = RedisConnector::sharded_with_metadata_index(stores.clone()).unwrap();
     let controller = Session::controller();
     for i in 0..16 {
         conn.execute(
@@ -126,7 +126,7 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
 
     // Same shard count: clean rebuild, placement verified, erasure holds.
     let recovered =
-        ShardedRedisConnector::with_metadata_index(replay_fleet(&gdprbench_repro::clock::wall()))
+        RedisConnector::sharded_with_metadata_index(replay_fleet(&gdprbench_repro::clock::wall()))
             .unwrap();
     recovered.engine().verify_placement().unwrap();
     assert_eq!(recovered.record_count(), 15);
@@ -143,7 +143,7 @@ fn sharded_restart_with_changed_shard_count_fails_loudly_or_rebuilds() {
     let mis_clk = gdprbench_repro::clock::wall();
     let mut misrouted_stores = replay_fleet(&mis_clk);
     misrouted_stores.push(KvStore::open_with_clock(config.clone(), mis_clk.clone()).unwrap());
-    let misrouted = ShardedRedisConnector::with_metadata_index(misrouted_stores).unwrap();
+    let misrouted = RedisConnector::sharded_with_metadata_index(misrouted_stores).unwrap();
     let err = misrouted.engine().verify_placement().unwrap_err();
     assert!(
         matches!(err, GdprError::ShardMisroute { shard_count: 3, .. }),

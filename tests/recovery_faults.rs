@@ -10,7 +10,7 @@
 //! the taxonomy identically to the reference scan semantics.
 
 use gdprbench_repro::clock;
-use gdprbench_repro::connectors::{PostgresConnector, RedisConnector, ShardedRedisConnector};
+use gdprbench_repro::connectors::{PostgresConnector, RedisConnector};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::store::RecordPredicate;
 use gdprbench_repro::gdpr_core::{
@@ -112,7 +112,7 @@ fn assert_index_matches_scan(conn: &RedisConnector, expected: &[PersonalRecord],
 }
 
 fn rebuilt_cause(conn: &RedisConnector) -> &SnapshotInvalid {
-    match conn.index_recovery().expect("snapshot-aware open") {
+    match conn.index_recovery(0).expect("snapshot-aware open") {
         IndexRecovery::Rebuilt { cause, .. } => cause,
         IndexRecovery::Restored { .. } => panic!("expected a rebuild"),
     }
@@ -125,7 +125,7 @@ fn seeded_snapshot(tag: &str) -> (Arc<KvStore>, PathBuf, Vec<PersonalRecord>) {
     let store = KvStore::open(kv_config()).unwrap();
     let conn = RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
     assert!(matches!(
-        conn.index_recovery(),
+        conn.index_recovery(0),
         Some(IndexRecovery::Rebuilt {
             cause: SnapshotInvalid::Missing,
             ..
@@ -146,7 +146,7 @@ fn intact_snapshot_restores_and_matches_scan() {
     let (store, path, records) = seeded_snapshot("intact");
     let reopened = RedisConnector::with_metadata_index_snapshot(store, &path).unwrap();
     assert!(
-        reopened.index_recovery().unwrap().is_restored(),
+        reopened.index_recovery(0).unwrap().is_restored(),
         "a matching image must take the O(index) path"
     );
     assert_index_matches_scan(&reopened, &records, "intact restore");
@@ -166,7 +166,7 @@ fn truncation_at_every_byte_prefix_rebuilds_correctly() {
         let reopened =
             RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
         assert!(
-            !reopened.index_recovery().unwrap().is_restored(),
+            !reopened.index_recovery(0).unwrap().is_restored(),
             "prefix of {len} bytes must not be trusted"
         );
         if len % 97 == 0 {
@@ -181,7 +181,7 @@ fn truncation_at_every_byte_prefix_rebuilds_correctly() {
     }
     std::fs::write(&path, &intact).unwrap();
     let reopened = RedisConnector::with_metadata_index_snapshot(store, &path).unwrap();
-    assert!(reopened.index_recovery().unwrap().is_restored());
+    assert!(reopened.index_recovery(0).unwrap().is_restored());
 }
 
 /// Property sweep: flipping any single byte must fail the checksum (or
@@ -224,7 +224,7 @@ fn byte_flips_anywhere_rebuild_correctly() {
         let reopened =
             RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
         assert!(
-            !reopened.index_recovery().unwrap().is_restored(),
+            !reopened.index_recovery(0).unwrap().is_restored(),
             "flip {mask:#x} at byte {pos} must not be trusted"
         );
         if i % 29 == 0 {
@@ -257,7 +257,7 @@ fn duplicated_or_padded_images_rebuild_correctly() {
                 SnapshotInvalid::Malformed(_) | SnapshotInvalid::ChecksumMismatch
             ),
             "{tag} image must be structurally rejected, got {:?}",
-            reopened.index_recovery()
+            reopened.index_recovery(0)
         );
         assert_index_matches_scan(&reopened, &records, tag);
     }
@@ -293,7 +293,7 @@ fn write_behind_the_engine_after_snapshot_forces_rebuild() {
             SnapshotInvalid::StaleGeneration { .. }
         ),
         "a write behind the stamp must read as staleness, got {:?}",
-        reopened.index_recovery()
+        reopened.index_recovery(0)
     );
     assert_index_matches_scan(&reopened, &records, "smuggled set_ex");
     // The rebuilt index serves the smuggled record like any other.
@@ -374,7 +374,7 @@ fn aof_replay_past_or_short_of_the_stamp_forces_rebuild() {
     // Replay to exactly the stamp: trustworthy, restored.
     let replayed = KvStore::replay(kv_config(), &at_stamp, clock::wall()).unwrap();
     let reopened = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
-    assert!(reopened.index_recovery().unwrap().is_restored());
+    assert!(reopened.index_recovery(0).unwrap().is_restored());
     assert_index_matches_scan(&reopened, &records, "replay to the stamp");
 }
 
@@ -405,7 +405,7 @@ fn renamed_stale_generation_is_rejected_by_the_stamp() {
 
     // The current image restores…
     let reopened = RedisConnector::with_metadata_index_snapshot(Arc::clone(&store), &path).unwrap();
-    assert!(reopened.index_recovery().unwrap().is_restored());
+    assert!(reopened.index_recovery(0).unwrap().is_restored());
     assert_index_matches_scan(&reopened, &records, "current image");
 
     // …the renamed old one does not, however intact it is.
@@ -430,7 +430,7 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
     let stores: Vec<_> = (0..2)
         .map(|_| KvStore::open_with_clock(kv_config(), clk.clone()).unwrap())
         .collect();
-    let conn = ShardedRedisConnector::with_metadata_index_snapshots(stores.clone(), &dir).unwrap();
+    let conn = RedisConnector::sharded_with_metadata_index_snapshots(stores.clone(), &dir).unwrap();
     let controller = Session::controller();
     let records = corpus();
     for r in &records {
@@ -458,7 +458,8 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
     };
 
     // Same count: every shard restores, responses match the original.
-    let same = ShardedRedisConnector::with_metadata_index_snapshots(replay_fleet(0), &dir).unwrap();
+    let same =
+        RedisConnector::sharded_with_metadata_index_snapshots(replay_fleet(0), &dir).unwrap();
     for shard in 0..2 {
         assert!(
             same.index_recovery(shard).unwrap().is_restored(),
@@ -486,7 +487,7 @@ fn shard_count_mismatch_rebuilds_while_same_count_restores() {
     // cause; the store side misroutes until rebalanced, after which the
     // (already rebuilt) indexes answer correctly.
     let three =
-        ShardedRedisConnector::with_metadata_index_snapshots(replay_fleet(1), &dir).unwrap();
+        RedisConnector::sharded_with_metadata_index_snapshots(replay_fleet(1), &dir).unwrap();
     for shard in 0..2 {
         match three.index_recovery(shard).unwrap() {
             IndexRecovery::Rebuilt {
@@ -559,7 +560,7 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
     sim.advance(Duration::from_millis(10_000));
     let replayed = KvStore::replay(config, &aof, sim.clone()).unwrap();
     let restored = RedisConnector::with_metadata_index_snapshot(replayed, &path).unwrap();
-    assert!(restored.index_recovery().unwrap().is_restored());
+    assert!(restored.index_recovery(0).unwrap().is_restored());
     assert_eq!(
         restored.metadata_index().unwrap().expired_keys(10_000),
         vec!["ttl-1"],
@@ -602,9 +603,9 @@ fn restored_deadline_set_fires_inclusive_boundary_purge_on_both_backends() {
     let recovered = Database::recover(config, &wal, sim.clone()).unwrap();
     let restored = PostgresConnector::with_engine_index_snapshot(recovered, &path).unwrap();
     assert!(
-        restored.index_recovery().unwrap().is_restored(),
+        restored.index_recovery(0).unwrap().is_restored(),
         "relstore: {:?}",
-        restored.index_recovery()
+        restored.index_recovery(0)
     );
     assert_eq!(
         restored.metadata_index().unwrap().expired_keys(10_000),

@@ -6,7 +6,7 @@
 //! connections (each thread's records carry a thread tag that must never
 //! surface on another thread's point reads).
 
-use gdprbench_repro::connectors::{GdprClient, ShardedRedisConnector};
+use gdprbench_repro::connectors::{GdprClient, RedisConnector};
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{EngineHandle, GdprError, GdprQuery, GdprResponse, Session};
 use gdprbench_repro::gdpr_server::{GdprServer, ServerConfig};
@@ -33,7 +33,7 @@ fn serve_sharded(shards: usize) -> (GdprServer, String) {
         })
         .collect();
     let engine: EngineHandle =
-        Arc::new(ShardedRedisConnector::with_metadata_index(stores).unwrap());
+        Arc::new(RedisConnector::sharded_with_metadata_index(stores).unwrap());
     let server = GdprServer::bind(
         engine,
         "127.0.0.1:0",

@@ -1,6 +1,6 @@
 //! Concurrency stress for the sharded compliance engine: a multi-threaded
 //! mixed workload (creates, rectifications, metadata updates, deletions,
-//! cross-shard reads) against `ShardedRedisConnector`, asserting the three
+//! cross-shard reads) against `RedisConnector`, asserting the three
 //! properties a concurrency topology must not cost:
 //!
 //! * **no lost updates** — every write a thread performed is visible
@@ -12,7 +12,7 @@
 //! * **audit-log completeness** — the unified trail holds exactly one
 //!   event per executed query, whatever thread or shard ran it.
 
-use gdprbench_repro::connectors::ShardedRedisConnector;
+use gdprbench_repro::connectors::RedisConnector;
 use gdprbench_repro::gdpr_core::record::{Metadata, PersonalRecord};
 use gdprbench_repro::gdpr_core::{
     GdprConnector, GdprQuery, GdprResponse, MetadataField, MetadataUpdate, Session,
@@ -52,7 +52,7 @@ fn record(thread: usize, i: usize) -> PersonalRecord {
 
 #[test]
 fn concurrent_mixed_workload_preserves_compliance_invariants() {
-    let conn = Arc::new(ShardedRedisConnector::open(SHARDS).unwrap());
+    let conn = Arc::new(RedisConnector::open_sharded(SHARDS).unwrap());
     let issued = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
 
